@@ -174,18 +174,30 @@ def _check_subset(dfa, R):
         raise ValueError("state set contains states beyond the automaton")
 
 
+class _ImageMap:
+    """Subset images under one 0-based transition table, computed per set:
+    ``_ImageMap(table)[mask]`` is the bitmask of { table[q] : q in mask }."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, table):
+        self.bits = [1 << image for image in table]
+
+    def __getitem__(self, mask):
+        bits = self.bits
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= bits[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+
 def apply_letter(dfa, R, s):
     """The image set { q.s : q in R }."""
     _check_letter(dfa, s)
     _check_subset(dfa, R)
-    table = dfa.letters[s]
-    m = R.mask
-    out = 0
-    while m:
-        low = m & -m
-        out |= 1 << table[low.bit_length() - 1]
-        m ^= low
-    return StateSet(out)
+    return StateSet(_ImageMap(dfa.letters[s])[R.mask])
 
 
 def apply_word(dfa, R, w):
@@ -193,17 +205,9 @@ def apply_word(dfa, R, w):
     _check_subset(dfa, R)
     for s in w:
         _check_letter(dfa, s)
-    table_cache = dfa.letters
     m = R.mask
     for s in w:
-        table = table_cache[s]
-        out = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            out |= 1 << table[low.bit_length() - 1]
-            mm ^= low
-        m = out
+        m = _ImageMap(dfa.letters[s])[m]
     return StateSet(m)
 
 
@@ -305,14 +309,22 @@ def dfa_from_json(obj):
     except (TypeError, KeyError) as e:
         raise ParseError(f"JSON automaton missing field: {e}") from None
     names = obj.get("names")
+    if type(n) is not int:  # bool is an int subclass
+        raise ParseError(f"state count {n!r} is not an integer")
     if n > MAX_STATES:
         raise ParseError(f"state count {n} exceeds the capacity cap {MAX_STATES}")
+    if not isinstance(letters, list) or not all(isinstance(t, list) for t in letters):
+        raise ParseError("letters must be a list of transition-table lists")
+    if names is not None and (
+        not isinstance(names, list) or not all(isinstance(x, str) for x in names)
+    ):
+        raise ParseError("names must be a list of strings")
     tables = []
     for j, table in enumerate(letters):
         if len(table) != n:
             raise ParseError(f"letter {j}: table has {len(table)} entries, expected {n}")
         for value in table:
-            if not isinstance(value, int) or not 1 <= value <= n:
+            if type(value) is not int or not 1 <= value <= n:
                 raise ParseError(f"letter {j}: entry {value!r} out of range 1..{n}")
         tables.append(tuple(table))
     try:

@@ -19,7 +19,8 @@ from .errors import (
 )
 from .construct import corank3_word, sync_pipeline
 from .extremal import assert_equivalence, pincor_check
-from .structure import classify_pinlem, extract_certificate, validate_certificate
+from .power import subset_images_for_table
+from .structure import _anchor_pair, classify_pinlem, extract_certificate, validate_certificate
 
 THEOREM_IDS = (
     "corank3",
@@ -34,17 +35,6 @@ THEOREM_IDS = (
     "pipeline",
     "greedy-stages",
 )
-
-
-def subset_images_for_table(n, table):
-    """Subset-image array (indexed by mask) for one transition table."""
-    nsub = 1 << n
-    bits = [1 << image for image in table]
-    out = [0] * nsub
-    for m in range(1, nsub):
-        low = m & -m
-        out[m] = out[m ^ low] | bits[low.bit_length() - 1]
-    return out
 
 
 _MASKS = {}
@@ -296,39 +286,6 @@ class Auto:
         return serialize_dfa(self.dfa())
 
 
-def _adb1_pair(n, tables):
-    """Kernel twin of find_adb1_structure, on raw 0-based tables."""
-    u = v = None
-    perms = []
-    for table in tables:
-        image_set = set(table)
-        if len(image_set) == n:
-            perms.append(table)
-            continue
-        if len(image_set) != n - 1:
-            return None
-        counts = {}
-        for q in range(n):
-            counts.setdefault(table[q], []).append(q)
-        merged = [qs for qs in counts.values() if len(qs) > 1]
-        if len(merged) != 1 or len(merged[0]) != 2:
-            return None
-        missing = (set(range(n)) - image_set).pop()
-        if missing not in merged[0]:
-            return None
-        partner = merged[0][0] if merged[0][1] == missing else merged[0][1]
-        if u is None:
-            u, v = missing, partner
-        elif (u, v) != (missing, partner):
-            return None
-    if u is None:
-        return None
-    for table in perms:
-        if table[u] not in (u, v):
-            return None
-    return u, v
-
-
 # ---------------------------------------------------------------------------
 # Per-theorem check functions.  Each returns (applicable, violation_detail)
 # where violation_detail is None when the claim holds, plus optional stats
@@ -492,7 +449,7 @@ def check_pinlem(auto, stats):
 
 
 def check_pinlem_converse(auto, stats):
-    pair = _adb1_pair(auto.n, auto.tables)
+    pair = _anchor_pair(auto.n, auto.tables)
     if pair is None:
         return False, None
     dist = auto.dist_le(auto.n - 2)

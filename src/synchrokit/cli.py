@@ -35,11 +35,12 @@ from .errors import (
 from .extremal import assert_equivalence, build_extremal_dfa, hypothesis_greedy, pincor_check
 from .harness import THEOREM_IDS, EnumerationScope, run_check
 from .power import (
+    _bfs,
+    _steppers,
     greedy_word,
     rank,
     shortest_compressing_word,
     size_profile,
-    subset_image_tables,
 )
 from .structure import (
     classify_pinlem,
@@ -116,25 +117,15 @@ def cmd_compress(args):
 
 
 def _dot_graph(dfa, word_path):
-    tables = subset_image_tables(dfa)
     full = (1 << dfa.n) - 1
-    seen = {full}
-    order = [full]
-    queue = [full]
-    while queue:
-        S = queue.pop(0)
-        for j in range(dfa.k):
-            T = tables[j][S]
-            if T not in seen:
-                seen.add(T)
-                order.append(T)
-                queue.append(T)
+    order, _hit = _bfs(dfa, full, range(dfa.k))  # keys in discovery order
+    images = _steppers(dfa, range(dfa.k))
     def label(mask):
         return "{" + ",".join(str(q + 1) for q in range(dfa.n) if (mask >> q) & 1) + "}"
     path_edges = set()
     node = full
     for s in word_path:
-        nxt = tables[s][node]
+        nxt = images[s][node]
         path_edges.add((node, s, nxt))
         node = nxt
     lines = ["digraph power {", '  rankdir="LR";']
@@ -142,7 +133,7 @@ def _dot_graph(dfa, word_path):
         lines.append(f'  "{label(S)}";')
     for S in order:
         for j in range(dfa.k):
-            T = tables[j][S]
+            T = images[j][S]
             style = ' style="bold"' if (S, j, T) in path_edges else ""
             lines.append(f'  "{label(S)}" -> "{label(T)}" [label="{dfa.names[j]}"{style}];')
     lines.append("}")
@@ -353,7 +344,7 @@ def cmd_pincor(args):
 
 
 def cmd_verify(args):
-    mode = "random" if args.samples else "exhaustive"
+    mode = "random" if args.samples is not None else "exhaustive"
     scope = EnumerationScope(
         n=args.n,
         k=args.k,

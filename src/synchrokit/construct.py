@@ -20,7 +20,7 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .power import _steppers, rank, shortest_compressing_word
+from .power import _bfs, _word_to, rank, shortest_compressing_word
 from .structure import _View, extract_certificate, satisfies_corank2_hypothesis, validate_certificate
 
 __all__ = [
@@ -267,34 +267,13 @@ def pin_extension(dfa, w, c):
 
     # BFS over bridge words by (length, lex); deduplicating on the current
     # set is sound because only the set reached matters downstream.
-    def lands(mask):
-        return apply_word(dfa, StateSet(mask), w)
-
     target = n - c
-    if len(lands(A.mask)) <= target:
-        return ()
-    parent = {A.mask: None}
-    frontier = [A.mask]
-    depth = 0
-    steppers = list(zip(range(dfa.k), _steppers(dfa, range(dfa.k))))
-    while depth < c:
-        depth += 1
-        nxt = []
-        for S in frontier:
-            for j, step in steppers:
-                T = step(S)
-                if T not in parent:
-                    parent[T] = (S, j)
-                    if len(lands(T)) <= target:
-                        word = []
-                        node = T
-                        while parent[node] is not None:
-                            node, letter = parent[node]
-                            word.append(letter)
-                        word.reverse()
-                        return tuple(word)
-                    nxt.append(T)
-        frontier = nxt
+    parent, hit = _bfs(
+        dfa, A.mask, range(dfa.k),
+        lambda T: len(apply_word(dfa, StateSet(T), w)) <= target, max_depth=c,
+    )
+    if hit is not None:
+        return _word_to(dfa, range(dfa.k), parent, hit)
     raise TheoremViolation(
         "extension bound: no bridge word of length <= c found",
         {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .automaton import Dfa, apply_letter, apply_word, default_names
 from .errors import CertificateContradiction, HypothesisFailed
-from .power import shortest_compressing_word, subset_image_tables
+from .power import _TABLE_LIMIT, _bfs, shortest_compressing_word, subset_image_tables
 from .structure import (
     _View,
     extract_certificate,
@@ -38,8 +38,6 @@ __all__ = [
     "build_extremal_dfa",
     "pincor_check",
 ]
-
-_COND_TABLE_LIMIT = 13  # condition checks walk the full subset lattice
 
 
 @dataclass(frozen=True)
@@ -89,11 +87,12 @@ class GreedyConditionReport:
 
 
 def _tables_or_raise(dfa):
-    if dfa.n > _COND_TABLE_LIMIT:
+    tables = subset_image_tables(dfa)
+    if tables is None:
         raise ValueError(
-            f"condition checks enumerate the subset lattice and are capped at n <= {_COND_TABLE_LIMIT}"
+            f"condition checks enumerate the subset lattice and are capped at n <= {_TABLE_LIMIT}"
         )
-    return subset_image_tables(dfa)
+    return tables
 
 
 def _exact_layers(dfa, limit):
@@ -244,15 +243,10 @@ def check_condition_4(dfa):
 
 
 def _reachable_exact_within(dfa, start_mask, target_size, steps):
-    tables = subset_image_tables(dfa)
-    current = {start_mask}
-    if any(S.bit_count() == target_size for S in current):
-        return True
-    for _ in range(steps):
-        current = {tables[j][S] for S in current for j in range(dfa.k)}
-        if any(S.bit_count() == target_size for S in current):
-            return True
-    return False
+    _parent, hit = _bfs(
+        dfa, start_mask, range(dfa.k), lambda T: T.bit_count() == target_size, steps
+    )
+    return hit is not None
 
 
 def check_condition_2(dfa):
@@ -309,23 +303,10 @@ def check_condition_2(dfa):
         for a in a_candidates:
             for w3 in w3_order():
                 word = (b, a, w3, b)
-                S = view.word_image(view.full, word)
-                if S.bit_count() <= n - 2 and _reachable_exact_within(dfa, _to_original(S, cert, dfa), target, 5):
+                S = apply_word(dfa, dfa.full_set(), word).mask
+                if S.bit_count() <= n - 2 and _reachable_exact_within(dfa, S, target, 5):
                     return Condition2Result(False, cert, word)
     return Condition2Result(True, cert, None)
-
-
-def _to_original(mask_renumbered, cert, dfa):
-    """Translate a subset mask from certificate numbering back to original."""
-    out = 0
-    m = mask_renumbered
-    while m:
-        low = m & -m
-        label = low.bit_length()
-        original = cert.renumbering.index(label) + 1
-        out |= 1 << (original - 1)
-        m ^= low
-    return out
 
 
 def classify_greedy_letter(dfa, s, numbering):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .automaton import MAX_STATES, Dfa
-from .checks import CHECKS, THEOREM_IDS, Auto, check_corank3, check_pin, subset_images_for_table
+from .checks import CHECKS, THEOREM_IDS, Auto, check_corank3, check_pin
+from .power import _TABLE_LIMIT, subset_images_for_table
 from .errors import BudgetExceeded
 
 __all__ = [
@@ -53,8 +54,9 @@ class EnumerationScope:
     work_budget: int = _DEFAULT_BUDGET
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_STATES:
-            raise ValueError(f"state count {self.n} out of range 1..{MAX_STATES}")
+        # The sweep kernel works on full subset-image tables only.
+        if not 1 <= self.n <= _TABLE_LIMIT:
+            raise ValueError(f"state count {self.n} out of range 1..{_TABLE_LIMIT} for a sweep")
         if self.k < 1:
             raise ValueError("letter count must be at least 1")
         if self.mode not in ("exhaustive", "random"):
@@ -179,20 +181,9 @@ def _tables_from_index(index, n, k):
 def enumerate_dfas(scope):
     """Stream the scope's population as Dfa values (budget enforced)."""
     _check_budget(scope)
-    if scope.mode == "random":
-        for start in range(0, scope.sample_count, _BLOCK):
-            block = range(start, min(start + _BLOCK, scope.sample_count))
-            rng = _block_rng(scope.rng_seed, start)
-            for _ in block:
-                yield random_dfa(scope.n, scope.k, rng)
-        return
-    n, k = scope.n, scope.k
-    for index in range(scope.total):
-        fids = _tables_from_index(index, n, k)
-        tables = tuple(_function_table(fid, n) for fid in fids)
-        if scope.canonical_filter and not is_canonical(tables, n):
-            continue
-        yield Dfa.from_tables([tuple(x + 1 for x in t) for t in tables])
+    for start in range(0, scope.total, _BLOCK):
+        for tables, _imgs in _iter_block(scope, start, min(start + _BLOCK, scope.total)):
+            yield Dfa.from_tables([tuple(x + 1 for x in t) for t in tables])
 
 
 def _check_budget(scope):
@@ -208,19 +199,18 @@ def _block_rng(seed, block_start):
     return random.Random(seed * 1_000_003 + block_start)
 
 
-# Per-process cache of subset-image tables keyed by function id.
+# Per-process cache of (function tables, subset-image tables), both
+# indexed by function id; (None, None) above five states.
 _SI_CACHE = {}
 
 
 def _si_tables(n):
     if n not in _SI_CACHE:
-        if n ** n <= 3200:  # n <= 5: precompute per-function image tables
-            _SI_CACHE[n] = [
-                subset_images_for_table(n, _function_table(fid, n))
-                for fid in range(n ** n)
-            ]
-        else:
-            _SI_CACHE[n] = None
+        funcs = si = None
+        if n ** n <= 3200:  # n <= 5: precompute every function and its image table
+            funcs = [_function_table(fid, n) for fid in range(n ** n)]
+            si = [subset_images_for_table(n, table) for table in funcs]
+        _SI_CACHE[n] = funcs, si
     return _SI_CACHE[n]
 
 
@@ -235,8 +225,7 @@ def _iter_block(scope, block_start, block_end):
             )
             yield tables, None
         return
-    si = _si_tables(n)
-    funcs = [_function_table(fid, n) for fid in range(n ** n)] if n ** n <= 3200 else None
+    funcs, si = _si_tables(n)
     for index in range(block_start, block_end):
         fids = _tables_from_index(index, n, k)
         if funcs is not None:

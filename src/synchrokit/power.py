@@ -3,8 +3,11 @@
 This module is the oracle everything else is checked against: exact
 shortest compressing words, the rank of an automaton (the minimum
 reachable image size), size profiles, and the stage-wise greedy
-compressor.  All searches run over the forward closure of the start set
-only, never the full subset lattice.
+compressor.  It owns the power-automaton primitives the rest of the
+package builds on: the subset-image tables, the per-letter steppers, and
+the one forward search with lexicographically least parent links.  All
+searches run over the forward closure of the start set only, never the
+full subset lattice.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automaton import StateSet, apply_word
+from .automaton import StateSet, _check_letter, _check_subset, _ImageMap
 
 __all__ = [
     "CompressionResult",
@@ -54,6 +57,17 @@ class GreedyProfile:
     total: tuple
 
 
+def subset_images_for_table(n, table):
+    """Subset-image array (indexed by mask) for one transition table."""
+    nsub = 1 << n
+    bits = [1 << image for image in table]
+    out = [0] * nsub
+    for m in range(1, nsub):
+        low = m & -m
+        out[m] = out[m ^ low] | bits[low.bit_length() - 1]
+    return out
+
+
 @lru_cache(maxsize=128)
 def subset_image_tables(dfa):
     """Per-letter tables mapping every subset bitmask to its image bitmask.
@@ -62,38 +76,16 @@ def subset_image_tables(dfa):
     """
     if dfa.n > _TABLE_LIMIT:
         return None
-    nsub = 1 << dfa.n
-    tables = []
-    for table in dfa.letters:
-        bits = [1 << image for image in table]
-        out = [0] * nsub
-        for m in range(1, nsub):
-            low = m & -m
-            out[m] = out[m ^ low] | bits[low.bit_length() - 1]
-        tables.append(out)
-    return tables
+    return [subset_images_for_table(dfa.n, table) for table in dfa.letters]
 
 
 def _steppers(dfa, letter_indices):
-    """One mask->mask image function per letter, table-backed when possible."""
+    """One subset-image map per letter, indexed by mask: the full table when
+    possible, per-set images above the table limit."""
     tables = subset_image_tables(dfa)
     if tables is not None:
-        return [tables[j].__getitem__ for j in letter_indices]
-
-    def make(table):
-        bits = [1 << image for image in table]
-
-        def step(mask):
-            out = 0
-            while mask:
-                low = mask & -mask
-                out |= bits[low.bit_length() - 1]
-                mask ^= low
-            return out
-
-        return step
-
-    return [make(dfa.letters[j]) for j in letter_indices]
+        return [tables[j] for j in letter_indices]
+    return [_ImageMap(dfa.letters[j]) for j in letter_indices]
 
 
 def _normalize_letters(dfa, allowed_letters):
@@ -108,40 +100,51 @@ def _normalize_letters(dfa, allowed_letters):
     return tuple(letters)
 
 
-def _bfs_shortest(dfa, start_mask, target_size, letter_indices, max_len):
-    """Lex-least shortest word taking start_mask to size <= target_size.
+def _bfs(dfa, start_mask, letter_indices, stop=None, max_depth=None):
+    """Forward breadth-first search over the power automaton.
 
-    Letters are explored in index order from a FIFO frontier, so the first
-    qualifying discovery is the lexicographically least among the
-    minimum-length witnesses.  Returns (word, final_mask) or None.
+    Letters are explored in the given (ascending) order from a FIFO
+    frontier.  Returns (parent, hit): ``parent`` maps every discovered set
+    to the set it was first reached from (None for the start), in
+    discovery order, and ``hit`` is the first discovered set satisfying
+    ``stop`` -- the start included -- or None when the search ends, or
+    reaches ``max_depth``, without one.
     """
-    if start_mask.bit_count() <= target_size:
-        return (), start_mask
-    steppers = [(j, step) for j, step in zip(letter_indices, _steppers(dfa, letter_indices))]
     parent = {start_mask: None}
+    if stop is not None and stop(start_mask):
+        return parent, start_mask
+    images = _steppers(dfa, letter_indices)
     frontier = [start_mask]
     depth = 0
-    while frontier:
-        if max_len is not None and depth >= max_len:
-            return None
+    while frontier and (max_depth is None or depth < max_depth):
         depth += 1
         nxt = []
         for S in frontier:
-            for j, step in steppers:
-                T = step(S)
+            for image in images:
+                T = image[S]
                 if T not in parent:
-                    parent[T] = (S, j)
-                    if T.bit_count() <= target_size:
-                        word = []
-                        node = T
-                        while parent[node] is not None:
-                            node, letter = parent[node]
-                            word.append(letter)
-                        word.reverse()
-                        return tuple(word), T
+                    parent[T] = S
+                    if stop is not None and stop(T):
+                        return parent, T
                     nxt.append(T)
         frontier = nxt
-    return None
+    return parent, None
+
+
+def _word_to(dfa, letter_indices, parent, node):
+    """The lexicographically least shortest word from the BFS start to ``node``.
+
+    The letter of each parent link is the first letter, in search order,
+    taking the parent onto the child: the one that discovered the child.
+    """
+    images = list(zip(letter_indices, _steppers(dfa, letter_indices)))
+    word = []
+    while parent[node] is not None:
+        S = parent[node]
+        word.append(next(j for j, image in images if image[S] == node))
+        node = S
+    word.reverse()
+    return tuple(word)
 
 
 def shortest_compressing_word(dfa, start, target_size, allowed_letters=None, max_len=None):
@@ -159,47 +162,36 @@ def shortest_compressing_word(dfa, start, target_size, allowed_letters=None, max
     if start.mask >> dfa.n:
         raise ValueError("start set contains states beyond the automaton")
     letters = _normalize_letters(dfa, allowed_letters)
-    hit = _bfs_shortest(dfa, start.mask, target_size, letters, max_len)
+    parent, hit = _bfs(
+        dfa, start.mask, letters, lambda T: T.bit_count() <= target_size, max_len
+    )
     if hit is None:
         return None
-    word, final_mask = hit
+    word = _word_to(dfa, letters, parent, hit)
     profile = size_profile(dfa, word, start=start)
-    return CompressionResult(word=word, final_set=StateSet(final_mask), profile=profile)
+    return CompressionResult(word=word, final_set=StateSet(hit), profile=profile)
 
 
 def rank(dfa):
     """Minimum reachable image size of the full state set; 1 means synchronizable."""
-    steppers = _steppers(dfa, range(dfa.k))
-    start = (1 << dfa.n) - 1
-    frontier = [start]
-    seen = {start}
-    best = dfa.n
-    while frontier and best > 1:
-        nxt = []
-        for S in frontier:
-            for step in steppers:
-                T = step(S)
-                if T not in seen:
-                    seen.add(T)
-                    size = T.bit_count()
-                    if size < best:
-                        best = size
-                        if best == 1:
-                            return 1
-                    nxt.append(T)
-        frontier = nxt
-    return best
+    parent, hit = _bfs(dfa, (1 << dfa.n) - 1, range(dfa.k), lambda T: T.bit_count() == 1)
+    if hit is not None:
+        return 1
+    return min(S.bit_count() for S in parent)
 
 
 def size_profile(dfa, w, start=None):
     """Sizes of start.prefix for every prefix of ``w``, including the empty one."""
     if start is None:
         start = dfa.full_set()
-    sizes = [len(start)]
-    current = start
+    _check_subset(dfa, start)
+    images = _steppers(dfa, range(dfa.k))
+    mask = start.mask
+    sizes = [mask.bit_count()]
     for s in w:
-        current = apply_word(dfa, current, (s,))
-        sizes.append(len(current))
+        _check_letter(dfa, s)
+        mask = images[s][mask]
+        sizes.append(mask.bit_count())
     return tuple(sizes)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .automaton import _ImageMap
 from .errors import CertificateContradiction, HypothesisFailed, PreconditionFailed
 from .power import shortest_compressing_word
 
@@ -125,19 +126,14 @@ class _View:
     def __init__(self, dfa, renumbering):
         self.n = dfa.n
         self.tables = renumbered_tables(dfa, renumbering)
+        self.images = [_ImageMap(table) for table in self.tables]
         self.full = (1 << dfa.n) - 1
 
     def act(self, state, letter):
         return self.tables[letter][state - 1] + 1
 
     def image(self, mask, letter):
-        table = self.tables[letter]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << table[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return self.images[letter][mask]
 
     def word_image(self, mask, word):
         for letter in word:
@@ -182,19 +178,23 @@ def _swap_labels(renumbering, x, y):
     return tuple(y if label == x else x if label == y else label for label in renumbering)
 
 
-def _merged_pair_and_missing(dfa, letter):
-    """For a letter of image deficiency one: its unique merged pair and missing state."""
-    n = dfa.n
-    table = dfa.letters[letter]
-    preimages = {}
-    for q in range(n):
-        preimages.setdefault(table[q], []).append(q)
-    merged = [states for states in preimages.values() if len(states) > 1]
-    missing = [q for q in range(n) if q not in preimages]
-    if len(missing) != 1 or len(merged) != 1 or len(merged[0]) != 2:
+def _merged_pair(table):
+    """(pair, missing) for a 0-based table of image deficiency one, else None.
+
+    ``pair`` is the ascending pair of states the table merges and
+    ``missing`` the one state outside its image, both 0-based.
+    """
+    n = len(table)
+    if len(set(table)) != n - 1:
         return None
-    pair = tuple(q + 1 for q in merged[0])
-    return pair, missing[0] + 1
+    first = {}
+    for q, image in enumerate(table):
+        if image in first:
+            pair = (first[image], q)
+        else:
+            first[image] = q
+    missing = (set(range(n)) - set(table)).pop()
+    return pair, missing
 
 
 def extract_certificate(dfa):
@@ -223,14 +223,14 @@ def extract_certificate(dfa):
         detail.setdefault("word", w)
         return CertificateContradiction(f"certificate extraction: {msg}", detail)
 
-    pm = _merged_pair_and_missing(dfa, b)
+    pm = _merged_pair(dfa.letters[b])
     if pm is None:
         raise contradiction("first letter of the minimal word does not merge exactly one pair")
     pair, missing = pm
     if missing not in pair:
         raise contradiction("missing state of the b letter is not one of its merged pair")
     partner = pair[0] if pair[1] == missing else pair[1]
-    renumbering = _initial_renumbering(dfa.n, missing, partner)
+    renumbering = _initial_renumbering(dfa.n, missing + 1, partner + 1)
     view = _View(dfa, renumbering)
 
     a = w[1]
@@ -356,13 +356,13 @@ def validate_certificate(dfa, cert, exhaustive_iii=False):
     for s in range(dfa.k):
         if view.is_permutation(s):
             continue
-        pm = _merged_pair_and_missing_view(view, s)
+        pm = _merged_pair(view.tables[s])
         if pm is None:
             clause_iii = False
             failures.append(f"clause (iii): letter {s} merges more than one pair")
             continue
-        merged_pair, _missing = pm
-        if set(merged_pair) != {1, 2}:
+        merged_pair = (pm[0][0] + 1, pm[0][1] + 1)
+        if merged_pair != (1, 2):
             clause_iii = False
             failures.append(f"clause (iii): letter {s} merges {merged_pair}, not {{1,2}}")
     did_exhaustive = False
@@ -434,20 +434,6 @@ def validate_certificate(dfa, cert, exhaustive_iii=False):
     )
 
 
-def _merged_pair_and_missing_view(view, letter):
-    table = view.tables[letter]
-    preimages = {}
-    for q in range(view.n):
-        preimages.setdefault(table[q], []).append(q)
-    merged = [states for states in preimages.values() if len(states) > 1]
-    if len(merged) != 1 or len(merged[0]) != 2:
-        return None
-    missing = [q for q in range(view.n) if q not in preimages]
-    if len(missing) != 1:
-        return None
-    return tuple(q + 1 for q in merged[0]), missing[0] + 1
-
-
 def classify_pinlem(dfa, cert):
     """Classify every letter as AD or B1 in the certificate numbering.
 
@@ -483,11 +469,19 @@ def find_adb1_structure(dfa):
     every letter is a permutation (nothing ever compresses then, so there is
     no pair to anchor the numbering).
     """
+    pair = _anchor_pair(dfa.n, dfa.letters)
+    return None if pair is None else (pair[0] + 1, pair[1] + 1)
+
+
+def _anchor_pair(n, tables):
+    """The pair of find_adb1_structure, 0-based, on raw 0-based tables."""
     u = v = None
-    for s in range(dfa.k):
-        if dfa.is_permutation_letter(s):
+    perms = []
+    for table in tables:
+        if len(set(table)) == n:
+            perms.append(table)
             continue
-        pm = _merged_pair_and_missing(dfa, s)
+        pm = _merged_pair(table)
         if pm is None:
             return None
         pair, missing = pm
@@ -500,8 +494,8 @@ def find_adb1_structure(dfa):
             return None
     if u is None:
         return None
-    for s in range(dfa.k):
-        if dfa.is_permutation_letter(s) and dfa.delta(u, s) not in (u, v):
+    for table in perms:
+        if table[u] not in (u, v):
             return None
     return u, v
 

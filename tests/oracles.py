@@ -104,3 +104,23 @@ def random_dfa_tables(rng, n, k):
 def random_dfas(seed, count, n, k):
     rng = random.Random(seed)
     return [Dfa.from_tables(random_dfa_tables(rng, n, k)) for _ in range(count)]
+
+
+def adb1_pairs(dfa):
+    """Every ordered pair (u, v) of distinct 1-based states under which each
+    letter is AD (a permutation sending u into {u, v}) or B1 (image misses
+    exactly u, and u, v share an image), by trying all pairs."""
+    full = dfa.full_set()
+    pairs = []
+    for u, v in itertools.permutations(range(1, dfa.n + 1), 2):
+        ok = True
+        for s in range(dfa.k):
+            image = apply_word(dfa, full, (s,))
+            ad = image == full and dfa.delta(u, s) in (u, v)
+            b1 = set(full) - set(image) == {u} and dfa.delta(u, s) == dfa.delta(v, s)
+            if not (ad or b1):
+                ok = False
+                break
+        if ok:
+            pairs.append((u, v))
+    return pairs

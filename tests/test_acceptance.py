@@ -34,6 +34,8 @@ from synchrokit.extremal import check_condition_4
 from conftest import CASE_FIXTURES
 from oracles import no_shorter_word, random_dfas
 
+pytestmark = pytest.mark.slow
+
 JOBS = min(os.cpu_count() or 1, 4)
 
 SWEEP5_IDS = (

@@ -119,6 +119,25 @@ class TestParse:
         assert load_dfa(blob) == dfa
         assert load_dfa(C4_TEXT) == dfa
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"n": "3", "letters": [[1, 2, 3]]},
+            {"n": True, "letters": [[1]]},
+            {"n": 2.0, "letters": [[1, 2]]},
+            {"n": 3, "letters": 5},
+            {"n": 3, "letters": [5]},
+            {"n": 3, "letters": "abc"},
+            {"n": 2, "letters": [[True, 2]]},
+            {"n": 2, "letters": [[1, 2]], "names": "a"},
+            {"n": 2, "letters": [[1, 2]], "names": [7]},
+            {"letters": [[1]]},
+        ],
+    )
+    def test_json_shape_errors(self, blob):
+        with pytest.raises(ParseError):
+            load_dfa(json.dumps(blob))
+
 
 class TestApply:
     def test_apply_letter_c4(self, c4):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from synchrokit import apply_word, load_dfa
 from synchrokit.cli import main
 
 from conftest import fixture_path
@@ -60,11 +61,27 @@ class TestBasicVerbs:
         payload = json.loads(out)
         assert payload["profile"] == [5, 4, 4, 4, 4, 3, 3, 3, 3, 2]
 
-    def test_profile_dot(self, capsys):
+    def test_profile_dot(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "profile", fixture_path("c4.dfa"), "baab", "--dot")
         assert code == 0
         assert out.startswith("digraph power")
         assert '"{1,2,3,4}" -> "{2,3,4}" [label="b" style="bold"]' in out
+        # Above the 13-state subset-table limit the graph is built per set.
+        n = 14
+        cycle = [q % n + 1 for q in range(1, n + 1)]
+        merge = [2] + list(range(2, n + 1))
+        path = tmp_path / "c14.dfa"
+        path.write_text(f"{n} 2\n" + " ".join(map(str, cycle)) + "\n" + " ".join(map(str, merge)) + "\n")
+        code, out, _ = run_cli(capsys, "profile", str(path), "ba", "--dot")
+        assert code == 0
+        dfa = load_dfa(path.read_text())
+        seen = frontier = {dfa.full_set()}
+        while frontier:
+            frontier = {apply_word(dfa, S, (j,)) for S in frontier for j in range(dfa.k)} - seen
+            seen = seen | frontier
+        nodes = [line for line in out.splitlines() if line.startswith('  "') and line.endswith('";')]
+        assert len(nodes) == len(seen)
+        assert len(out.splitlines()) == 3 + len(seen) * (1 + dfa.k)
 
     def test_greedy(self, capsys):
         code, out, _ = run_cli(capsys, "greedy", fixture_path("c4.dfa"), "--corank", "3", "--json")
@@ -186,6 +203,17 @@ class TestVerifyVerb:
         assert code == 1
         assert "seed" in err
 
+    @pytest.mark.parametrize(
+        "n, samples, message",
+        [("3", "0", "random mode needs sample_count >= 1"), ("64", "1", "out of range 1..13")],
+    )
+    def test_verify_bad_scope_exits_1(self, capsys, n, samples, message):
+        code, out, err = run_cli(
+            capsys, "verify", "corank3", "--n", n, "--samples", samples, "--seed", "3"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_verify_budget(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "corank3", "--n", "5", "--k", "2", "--budget", "1000"
@@ -209,6 +237,14 @@ class TestErrors:
         bad.write_text("2 1\n3 1\n")
         code, _, err = run_cli(capsys, "rank", str(bad))
         assert code == 1 and "line 2" in err
+
+    @pytest.mark.parametrize("blob", ['{"n": "3", "letters": [[1, 2, 3]]}', '{"n": 3, "letters": 5}'])
+    def test_json_shape_error_exits_1(self, capsys, tmp_path, blob):
+        bad = tmp_path / "bad.json"
+        bad.write_text(blob)
+        code, _, err = run_cli(capsys, "rank", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_verb_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -16,12 +16,12 @@ from synchrokit import (
     serialize_dfa,
     shortest_compressing_word,
 )
-from synchrokit.checks import Auto, _adb1_pair
+from synchrokit.checks import Auto
 from synchrokit.extremal import check_condition_1, check_condition_4, hypothesis_greedy
-from synchrokit.harness import THEOREM_IDS, canonical_form, is_canonical
-from synchrokit.structure import find_adb1_structure
+from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, canonical_form, is_canonical
+from synchrokit.structure import _anchor_pair, find_adb1_structure
 
-from oracles import random_dfas
+from oracles import adb1_pairs, random_dfas
 
 
 def scope(n, k, **kw):
@@ -74,6 +74,12 @@ class TestEnumeration:
             EnumerationScope(n=2, k=1, mode="random", sample_count=5)  # no seed
         with pytest.raises(ValueError):
             EnumerationScope(n=2, k=1, mode="random", rng_seed=1)  # no count
+        with pytest.raises(ValueError, match="sample_count >= 1"):
+            EnumerationScope(n=2, k=1, mode="random", sample_count=0, rng_seed=3)
+        with pytest.raises(ValueError):
+            EnumerationScope(n=14, k=2)  # beyond the subset-table limit
+        with pytest.raises(ValueError):
+            EnumerationScope(n=64, k=2, mode="random", sample_count=1, rng_seed=1)
 
 
 class TestRandomDfa:
@@ -102,22 +108,29 @@ class TestRandomDfa:
         assert len(listed) == len(set(listed)) or len(listed) == 50
 
     def test_block_iteration_equals_public_enumeration(self):
-        # The sweep decodes enumeration indices itself; the two paths must
-        # produce the identical population in the identical order.
+        # Exhaustive mode is the literal lexicographic product of tables;
+        # random mode is the random_dfa stream, reseeded at every block.
         from synchrokit import Dfa
-        from synchrokit.harness import _iter_block
 
-        for sc in (
-            scope(3, 2),
-            scope(4, 2, mode="random", sample_count=100, rng_seed=13),
-        ):
-            total = 729 if sc.mode == "exhaustive" else sc.sample_count
-            via_enum = [serialize_dfa(d) for d in enumerate_dfas(sc)]
-            via_block = [
-                serialize_dfa(Dfa.from_tables([tuple(x + 1 for x in t) for t in tables]))
-                for tables, _ in _iter_block(sc, 0, total)
-            ]
-            assert via_enum == via_block
+        def one_based(tables):
+            return [tuple(x + 1 for x in t) for t in tables]
+
+        n, k = 3, 2
+        functions = itertools.product(range(n), repeat=n)
+        literal = [Dfa.from_tables(one_based(t)) for t in itertools.product(functions, repeat=k)]
+        sc = scope(n, k)
+        assert list(enumerate_dfas(sc)) == literal
+        assert [Dfa.from_tables(one_based(t)) for t, _ in _iter_block(sc, 0, sc.total)] == literal
+
+        seed, count = 13, _BLOCK + 100
+        literal = []
+        for start in range(0, count, _BLOCK):
+            rng = random.Random(seed * 1_000_003 + start)
+            literal.extend(random_dfa(4, 2, rng) for _ in range(min(_BLOCK, count - start)))
+        sc = scope(4, 2, mode="random", sample_count=count, rng_seed=seed)
+        assert list(enumerate_dfas(sc)) == literal
+        second_block = [Dfa.from_tables(one_based(t)) for t, _ in _iter_block(sc, _BLOCK, count)]
+        assert second_block == literal[_BLOCK:]
 
 
 class TestReports:
@@ -195,13 +208,23 @@ class TestKernelAgainstPublic:
                 assert cond4 == check_condition_4(dfa)[0]
 
     def test_adb1_pair_matches_public(self):
-        for dfa in random_dfas(81, 300, 4, 2):
-            pair = _adb1_pair(dfa.n, dfa.letters)
-            public = find_adb1_structure(dfa)
-            if public is None:
+        # The pair is anchored on the non-permutation letters, so it is the
+        # only pair that works when one exists, and none is reported when
+        # every letter is a permutation.
+        population = list(enumerate_dfas(scope(3, 2))) + random_dfas(81, 300, 4, 2)
+        found = 0
+        for dfa in population:
+            pair = _anchor_pair(dfa.n, dfa.letters)
+            pairs = adb1_pairs(dfa)
+            if all(dfa.is_permutation_letter(s) for s in range(dfa.k)):
                 assert pair is None
-            else:
-                assert pair == (public[0] - 1, public[1] - 1)
+                continue
+            assert len(pairs) <= 1
+            expected = pairs[0] if pairs else None
+            assert find_adb1_structure(dfa) == expected
+            assert pair == (None if expected is None else (expected[0] - 1, expected[1] - 1))
+            found += expected is not None
+        assert found > 0
 
     def test_franklpin_kernel_matches_per_subset_bfs(self):
         from synchrokit.checks import check_franklpin
