@@ -274,7 +274,10 @@ def parse_dfa(text):
         raise ParseError("empty input: missing header")
     if len(tables) != k:
         raise ParseError(f"expected {k} transition tables, got {len(tables)}")
-    return Dfa.from_tables(tables, names)
+    try:
+        return Dfa.from_tables(tables, names)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 def serialize_dfa(dfa):
@@ -301,7 +304,7 @@ def dfa_from_json(obj):
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError
             raise ParseError(f"invalid JSON: {e}") from None
     try:
         n = obj["n"]

@@ -7,18 +7,28 @@ corank-2 certificate exists and no qualifying word shaped b.a.?.b drops
 to n-2 at step 4; (3) under some renumbering every letter is the
 identity on {1,2,3,4}, the 4-cycle 1->2->3->4->1, or the {1,2}-merge
 fixing 3 and 4; (4) every qualifying word has length exactly 9 and the
-fixed size profile (n-1 four times, n-2 four times, n-3).  This module
-implements each condition independently, asserts their equivalence, and
-builds the extremal witness family.
+fixed size profile (n-1 four times, n-2 four times, n-3).  Conditions
+(1) and (4), and the hypothesis, are decided by one procedure on layers
+of subset masks (``_greedy_flags``) that the verification sweep shares;
+(2) and (3) are decided independently of it and of each other.  The
+module asserts the equivalence and builds the extremal witness family.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .automaton import Dfa, apply_letter, apply_word, default_names
-from .errors import CertificateContradiction, HypothesisFailed
-from .power import _TABLE_LIMIT, _bfs, shortest_compressing_word, subset_image_tables
+from .errors import CertificateContradiction, HypothesisFailed, PreconditionFailed
+from .power import (
+    _TABLE_LIMIT,
+    _bfs,
+    _size_masks,
+    _word_to,
+    shortest_compressing_word,
+    subset_image_tables,
+)
 from .structure import (
     _View,
     extract_certificate,
@@ -86,86 +96,96 @@ class GreedyConditionReport:
         }
 
 
-def _tables_or_raise(dfa):
+def _profile(n):
+    """The forced size profile of a qualifying word under condition (4)."""
+    return (n,) + (n - 1,) * 4 + (n - 2,) * 4 + (n - 3,)
+
+
+def _greedy_flags(n, tables):
+    """(hypothesis, cond1, cond4) decided on layers of subset-index masks.
+
+    ``tables`` are the per-letter subset-image tables; layer t is the mask
+    of the subset indices reached by the words of length t.  cond1 and
+    cond4 only mean something when the hypothesis holds (both are True
+    otherwise).  Layering stops at the first depth where a set of size
+    exactly n-3 appears, which settles all three flags for almost every
+    automaton.  The sweep kernel and the public checks both decide here.
+    """
+
+    def step(R):
+        nr = 0
+        while R:
+            low = R & -R
+            R ^= low
+            S = low.bit_length() - 1
+            for table in tables:
+                nr |= 1 << table[S]
+        return nr
+
+    target = n - 3
+    if target < 1:
+        return False, True, True
+    exact, le = _size_masks(n)
+    ex = exact[target]
+    start = 1 << ((1 << n) - 1)
+    R = start
+    for hit_t in range(1, 10):
+        R = step(R)
+        if hit_t == 4:
+            R4 = R
+        if R & ex:
+            break
+    else:
+        return False, True, True
+    viol1 = hit_t <= 3
+    viol4 = hit_t <= 8
+    if not viol1:
+        # A qualifying word may still have a short fat prefix: some
+        # length-4 image of size <= n-2 that reaches size n-3 within
+        # five more letters.
+        F = R4 & le[n - 2]
+        for _ in range(5):
+            if F & ex:
+                break
+            F = step(F)
+        viol1 = bool(F & ex)
+    if not viol4:
+        profile = _profile(n)
+        P = start
+        N = 0
+        for t in range(1, 10):
+            pm = exact[profile[t]]
+            nP = step(P)
+            nN = step(N) if N else 0
+            N = nN | (nP & ~pm)
+            P = nP & pm
+        viol4 = bool(N & ex)
+    return True, not viol1, not viol4
+
+
+def _decide(dfa):
+    """(subset-image tables, greedy flags); capped at the table limit."""
     tables = subset_image_tables(dfa)
     if tables is None:
         raise ValueError(
             f"condition checks enumerate the subset lattice and are capped at n <= {_TABLE_LIMIT}"
         )
-    return tables
+    return tables, _greedy_flags(dfa.n, tables)
 
 
-def _exact_layers(dfa, limit):
-    """Layer t maps every set reachable by some length-t word to its
-    lexicographically least such word's (parent, letter) link."""
-    tables = _tables_or_raise(dfa)
-    full = (1 << dfa.n) - 1
-    layers = [{full: None}]
-    letters = list(range(dfa.k))
-    for _ in range(limit):
-        new = {}
-        prev = layers[-1]
-        for S in prev:
-            for j in letters:
-                T = tables[j][S]
-                if T not in new:
-                    new[T] = (S, j)
-        layers.append(new)
-    return layers
-
-
-def _word_from_layers(layers, t, mask):
-    word = []
-    node = mask
-    for depth in range(t, 0, -1):
-        node, letter = layers[depth][node]
-        word.append(letter)
-    word.reverse()
-    return tuple(word)
-
-
-def _exact_dist(dfa, target_size):
-    """For every subset, distance to some set of size exactly target_size."""
-    tables = _tables_or_raise(dfa)
-    nsub = 1 << dfa.n
-    preds = [[] for _ in range(nsub)]
-    for S in range(nsub):
-        for j in range(dfa.k):
-            preds[tables[j][S]].append(S)
-    dist = [None] * nsub
-    frontier = [S for S in range(nsub) if S.bit_count() == target_size]
-    for S in frontier:
-        dist[S] = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for T in frontier:
-            for S in preds[T]:
-                if dist[S] is None:
-                    dist[S] = d
-                    nxt.append(S)
-        frontier = nxt
-    return dist
+def _exact_word_within(dfa, start_mask, target_size, steps):
+    """The lexicographically least shortest word of at most ``steps`` letters
+    taking ``start_mask`` to a set of size exactly ``target_size``, or None."""
+    letters = range(dfa.k)
+    parent, hit = _bfs(
+        dfa, start_mask, letters, lambda T: T.bit_count() == target_size, steps
+    )
+    return None if hit is None else _word_to(dfa, letters, parent, hit)
 
 
 def hypothesis_greedy(dfa):
     """True when some word of length <= 9 reaches size exactly n-3."""
-    target = dfa.n - 3
-    if target < 1:
-        return False
-    layers = _exact_layers(dfa, 9)
-    return any(
-        any(S.bit_count() == target for S in layer) for layer in layers
-    )
-
-
-def _first_exact_hit(layers, target, lo, hi):
-    for t in range(lo, hi + 1):
-        for S in layers[t]:
-            if S.bit_count() == target:
-                return t, S
-    return None
+    return _decide(dfa)[1][0]
 
 
 def check_condition_1(dfa):
@@ -174,45 +194,37 @@ def check_condition_1(dfa):
     Qualifying means length <= 9 with image of size exactly n-3.  Returns
     (holds, violating word or None).
     """
+    tables, (_, cond1, _) = _decide(dfa)
+    if cond1:
+        return True, None
     n = dfa.n
-    target = n - 3
-    layers = _exact_layers(dfa, 9)
-    hit = _first_exact_hit(layers, target, 0, 3)
-    if hit is not None:
-        return False, _word_from_layers(layers, hit[0], hit[1])
-    dist = _exact_dist(dfa, target)
-    tables = subset_image_tables(dfa)
-    for S, link in layers[4].items():
-        if S.bit_count() <= n - 2 and dist[S] is not None and dist[S] <= 5:
-            prefix = _word_from_layers(layers, 4, S)
-            completion = []
-            node = S
-            while node.bit_count() != target:
-                d = dist[node]
-                for j in range(dfa.k):
-                    T = tables[j][node]
-                    if dist[T] is not None and dist[T] == d - 1:
-                        completion.append(j)
-                        node = T
-                        break
-            return False, prefix + tuple(completion)
-    return True, None
-
-
-def check_condition_4(dfa):
-    """Every qualifying word has length 9 and the fixed 4+4+1 size profile."""
-    n = dfa.n
-    target = n - 3
-    layers = _exact_layers(dfa, 9)
-    hit = _first_exact_hit(layers, target, 0, 8)
-    if hit is not None:
-        return False, _word_from_layers(layers, hit[0], hit[1])
-    profile = (n, n - 1, n - 1, n - 1, n - 1, n - 2, n - 2, n - 2, n - 2, n - 3)
-    tables = subset_image_tables(dfa)
     full = (1 << n) - 1
-    on_profile = {full: None}
+    word = _exact_word_within(dfa, full, n - 3, 3)
+    if word is not None:
+        return False, word
+    # Every qualifying word has length >= 4, so the failure is a 4-prefix
+    # of size <= n-2 that still reaches size n-3 within five letters; the
+    # flags guarantee this loop finds one.
+    for prefix in itertools.product(range(dfa.k), repeat=4):
+        S = full
+        for j in prefix:
+            S = tables[j][S]
+        if S.bit_count() <= n - 2:
+            completion = _exact_word_within(dfa, S, n - 3, 5)
+            if completion is not None:
+                return False, prefix + completion
+
+
+def _deviating_word(dfa, tables):
+    """A length-9 word to size n-3 whose size profile leaves the forced
+    one, spelled from the layers of on-profile and deviated sets."""
+    n = dfa.n
+    profile = _profile(n)
+    on_profile = {(1 << n) - 1: None}
     deviated = {}
-    trace = [(dict(on_profile), dict(deviated))]
+    # trace[t][0] and trace[t][1] link every on-profile and deviated set of
+    # layer t to (parent, letter, 0 or 1 for the parent's side).
+    trace = [(on_profile, deviated)]
     for t in range(1, 10):
         new_on = {}
         new_dev = {}
@@ -220,33 +232,34 @@ def check_condition_4(dfa):
             for j in range(dfa.k):
                 T = tables[j][S]
                 if T.bit_count() == profile[t]:
-                    new_on.setdefault(T, (S, j, "P"))
+                    new_on.setdefault(T, (S, j, 0))
                 else:
-                    new_dev.setdefault(T, (S, j, "P"))
+                    new_dev.setdefault(T, (S, j, 0))
         for S in deviated:
             for j in range(dfa.k):
-                T = tables[j][S]
-                new_dev.setdefault(T, (S, j, "N"))
+                new_dev.setdefault(tables[j][S], (S, j, 1))
         on_profile, deviated = new_on, new_dev
         trace.append((on_profile, deviated))
-    for S in deviated:
-        if S.bit_count() == target:
-            word = []
-            node, src = S, "N"
-            for t in range(9, 0, -1):
-                table = trace[t][1] if src == "N" else trace[t][0]
-                node, letter, src = table[node]
-                word.append(letter)
-            word.reverse()
-            return False, tuple(word)
-    return True, None
+    node = next(S for S in deviated if S.bit_count() == n - 3)
+    side = 1
+    word = []
+    for t in range(9, 0, -1):
+        node, letter, side = trace[t][side][node]
+        word.append(letter)
+    word.reverse()
+    return tuple(word)
 
 
-def _reachable_exact_within(dfa, start_mask, target_size, steps):
-    _parent, hit = _bfs(
-        dfa, start_mask, range(dfa.k), lambda T: T.bit_count() == target_size, steps
-    )
-    return hit is not None
+def check_condition_4(dfa):
+    """Every qualifying word has length 9 and the fixed 4+4+1 size profile."""
+    tables, (_, _, cond4) = _decide(dfa)
+    if cond4:
+        return True, None
+    word = _exact_word_within(dfa, (1 << dfa.n) - 1, dfa.n - 3, 8)
+    if word is None:
+        # Every qualifying word has length 9; one of them leaves the profile.
+        word = _deviating_word(dfa, tables)
+    return False, word
 
 
 def check_condition_2(dfa):
@@ -304,7 +317,7 @@ def check_condition_2(dfa):
             for w3 in w3_order():
                 word = (b, a, w3, b)
                 S = apply_word(dfa, dfa.full_set(), word).mask
-                if S.bit_count() <= n - 2 and _reachable_exact_within(dfa, S, target, 5):
+                if S.bit_count() <= n - 2 and _exact_word_within(dfa, S, target, 5) is not None:
                     return Condition2Result(False, cert, word)
     return Condition2Result(True, cert, None)
 
@@ -425,9 +438,12 @@ def pincor_check(dfa, cert):
     """When Q.badb needs more than 5 further steps, b a a a b a a a b works.
 
     Vacuously true when the 5-step compression from Q.badb exists;
-    otherwise evaluates |Q.(b a^3 b a^3 b)| = n-3 directly.
+    otherwise evaluates |Q.(b a^3 b a^3 b)| = n-3 directly.  Needs n >= 4,
+    so that size n-3 is not empty.
     """
     n = dfa.n
+    if n < 4:
+        raise PreconditionFailed(f"the pincor check needs n >= 4 states, got {n}")
     b, a, d = cert.b_letter, cert.a_letter, cert.d_letter
     start = apply_word(dfa, dfa.full_set(), (b, a, d, b))
     res = shortest_compressing_word(dfa, start, n - 3, max_len=5)

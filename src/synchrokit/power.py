@@ -68,6 +68,20 @@ def subset_images_for_table(n, table):
     return out
 
 
+@lru_cache(maxsize=None)
+def _size_masks(n):
+    """(exact, le): masks over subset indices grouped by subset size."""
+    exact = [0] * (n + 1)
+    for S in range(1 << n):
+        exact[S.bit_count()] |= 1 << S
+    le = [0] * (n + 1)
+    acc = 0
+    for s in range(n + 1):
+        acc |= exact[s]
+        le[s] = acc
+    return exact, le
+
+
 @lru_cache(maxsize=128)
 def subset_image_tables(dfa):
     """Per-letter tables mapping every subset bitmask to its image bitmask.

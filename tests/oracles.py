@@ -63,11 +63,12 @@ def qualifying_words(dfa, limit=9):
     return out
 
 
-def brute_condition_1(dfa):
-    """Condition (1) by literal enumeration of qualifying words."""
+def brute_condition_1(dfa, words=None):
+    """Condition (1) by literal enumeration of qualifying words (``words``,
+    when given, are the precomputed qualifying_words(dfa))."""
     n = dfa.n
     full = dfa.full_set()
-    for w in qualifying_words(dfa):
+    for w in qualifying_words(dfa) if words is None else words:
         if len(w) < 4:
             return False
         if len(apply_word(dfa, full, w[:4])) <= n - 2:
@@ -75,12 +76,13 @@ def brute_condition_1(dfa):
     return True
 
 
-def brute_condition_4(dfa):
-    """Condition (4) by literal enumeration of qualifying words."""
+def brute_condition_4(dfa, words=None):
+    """Condition (4) by literal enumeration of qualifying words (``words``
+    as for brute_condition_1)."""
     n = dfa.n
     full = dfa.full_set()
     profile = (n, n - 1, n - 1, n - 1, n - 1, n - 2, n - 2, n - 2, n - 2, n - 3)
-    for w in qualifying_words(dfa):
+    for w in qualifying_words(dfa) if words is None else words:
         if len(w) != 9:
             return False
         sizes = [n]

@@ -33,6 +33,37 @@ def dfas(draw, max_n=6, max_k=3):
 
 
 @st.composite
+def near_valid_texts(draw):
+    """A serialized automaton with drawn letter names and one line perhaps
+    replaced by drawn tokens."""
+    dfa = draw(dfas(max_n=3))
+    lines = serialize_dfa(dfa).splitlines()
+    if draw(st.booleans()):
+        names = st.sampled_from(["a", "b", "c", "#a", ""])
+        lines.insert(1, "names: " + " ".join(draw(st.lists(names, min_size=dfa.k, max_size=dfa.k))))
+    if draw(st.booleans()):
+        tokens = st.lists(st.sampled_from(["0", "1", "2", "3", "4", "x", "-1", "#", "names:"]), max_size=4)
+        lines[draw(st.integers(0, len(lines) - 1))] = " ".join(draw(tokens))
+    return "\n".join(lines) + "\n"
+
+
+def json_object_texts():
+    """JSON objects with the automaton's keys and arbitrary nested values."""
+    keys = st.sampled_from(["n", "k", "letters", "names"])
+
+    def nest(inner):
+        return st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4)
+
+    scalars = st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=3)
+    value = st.recursive(scalars, nest, max_leaves=12)
+    return st.dictionaries(keys, value, max_size=4).map(json.dumps)
+
+
+# Arbitrary text, near-valid automaton text, or JSON-shaped text.
+AUTOMATON_TEXTS = st.text(max_size=40) | near_valid_texts() | json_object_texts()
+
+
+@st.composite
 def dfa_with_word(draw, max_len=8):
     dfa = draw(dfas())
     word = tuple(draw(st.lists(st.integers(0, dfa.k - 1), max_size=max_len)))
@@ -112,6 +143,14 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate"):
             parse_dfa("2 2\nnames: a a\n1 2\n2 1\n")
 
+    @given(AUTOMATON_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_load_dfa_raises_only_parse_error(self, text):
+        try:
+            assert isinstance(load_dfa(text), Dfa)
+        except ParseError:
+            pass
+
     def test_json_mirror(self):
         dfa = parse_dfa(C4_TEXT)
         blob = json.dumps(dfa_to_json(dfa))
@@ -132,11 +171,13 @@ class TestParse:
             {"n": 2, "letters": [[1, 2]], "names": "a"},
             {"n": 2, "letters": [[1, 2]], "names": [7]},
             {"letters": [[1]]},
+            pytest.param('{"n": ' + "[" * 100_000, id="deep-nesting"),
+            pytest.param("2 2\nnames: #a b\n1 2\n2 1\n", id="bad-letter-name"),
         ],
     )
     def test_json_shape_errors(self, blob):
         with pytest.raises(ParseError):
-            load_dfa(json.dumps(blob))
+            load_dfa(blob if isinstance(blob, str) else json.dumps(blob))
 
 
 class TestApply:

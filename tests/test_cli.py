@@ -165,6 +165,10 @@ class TestStructureVerbs:
     def test_pincor(self, capsys):
         code, out, _ = run_cli(capsys, "pincor", fixture_path("e5.dfa"))
         assert code == 0
+        # Three states leave no size n-3 to reach: a precondition error.
+        code, out, err = run_cli(capsys, "pincor", fixture_path("c3.dfa"))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "n >= 4" in err
 
     def test_extremal_round_trip(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "extremal", "--n", "5")
@@ -238,7 +242,15 @@ class TestErrors:
         code, _, err = run_cli(capsys, "rank", str(bad))
         assert code == 1 and "line 2" in err
 
-    @pytest.mark.parametrize("blob", ['{"n": "3", "letters": [[1, 2, 3]]}', '{"n": 3, "letters": 5}'])
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            '{"n": "3", "letters": [[1, 2, 3]]}',
+            '{"n": 3, "letters": 5}',
+            pytest.param('{"n": ' + "[" * 100_000, id="deep-nesting"),
+            pytest.param("2 2\nnames: #a b\n1 2\n2 1\n", id="bad-letter-name"),
+        ],
+    )
     def test_json_shape_error_exits_1(self, capsys, tmp_path, blob):
         bad = tmp_path / "bad.json"
         bad.write_text(blob)

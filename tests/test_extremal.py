@@ -3,6 +3,7 @@ import pytest
 from synchrokit import (
     Dfa,
     HypothesisFailed,
+    PreconditionFailed,
     apply_word,
     assert_equivalence,
     build_extremal_dfa,
@@ -81,6 +82,26 @@ class TestConditionChecks:
             assert cond4 == brute_condition_4(dfa)
             checked += 1
         assert checked >= 40
+
+    @pytest.mark.parametrize(
+        "text, witness1, witness4",
+        [
+            # (4) fails late: the deviating word spelled differs from the
+            # least one, abbaaabba.
+            ("5 2\n2 4 5 1 5\n2 4 5 3 1\n", "abbaaabba", "abbbbabba"),
+            # (1) fails late: no qualifying word is shorter than 4 letters.
+            ("4 2\n1 1 1 4\n4 1 1 2\n", "aaaabba", "abba"),
+        ],
+        ids=["late-4", "late-1"],
+    )
+    def test_frozen_witnesses(self, text, witness1, witness4):
+        dfa = load_dfa(text)
+        cond1, word1 = check_condition_1(dfa)
+        cond4, word4 = check_condition_4(dfa)
+        assert not cond1 and format_word(dfa, word1) == witness1
+        assert not cond4 and format_word(dfa, word4) == witness4
+        report = assert_equivalence(dfa)
+        assert (report.witness1, report.witness4) == (word1, word4)
 
     def test_condition2_requires_certificate(self):
         # Fast compressor: hypothesis holds but the certificate does not.
@@ -181,6 +202,10 @@ class TestPincor:
         start = apply_word(c4, c4.full_set(), (1, 0, 0, 1))
         assert shortest_compressing_word(c4, start, 1, max_len=5) is None
         assert pincor_check(c4, cert)
+
+    def test_c3_needs_four_states(self, c3):
+        with pytest.raises(PreconditionFailed, match="n >= 4"):
+            pincor_check(c3, extract_certificate(c3))
 
     def test_c5_vacuous(self, c5):
         cert = extract_certificate(c5)

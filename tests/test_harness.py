@@ -21,11 +21,56 @@ from synchrokit.extremal import check_condition_1, check_condition_4, hypothesis
 from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, canonical_form, is_canonical
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
-from oracles import adb1_pairs, random_dfas
+from oracles import (
+    adb1_pairs,
+    brute_condition_1,
+    brute_condition_4,
+    brute_min_length_to_size,
+    qualifying_words,
+    random_dfas,
+)
 
 
 def scope(n, k, **kw):
     return EnumerationScope(n=n, k=k, **kw)
+
+
+def _assert_greedy_matches_oracles(dfa):
+    """Auto.greedy_flags, hypothesis_greedy and check_condition_1/4, with
+    their witnesses, against literal enumeration of the qualifying words."""
+    n = dfa.n
+    full = dfa.full_set()
+    words = qualifying_words(dfa)
+    hyp = bool(words)
+    assert hypothesis_greedy(dfa) == hyp
+    cond1, witness1 = check_condition_1(dfa)
+    cond4, witness4 = check_condition_4(dfa)
+    assert Auto(n, dfa.letters).greedy_flags() == (hyp, cond1, cond4)
+    if not hyp:
+        assert (cond1, cond4) == (True, True)
+        return
+    assert cond1 == brute_condition_1(dfa, words)
+    assert cond4 == brute_condition_4(dfa, words)
+    # An early failure is witnessed by the lexicographically least shortest
+    # qualifying word; a late failure of (1) by the least fat 4-prefix and
+    # then the least shortest completion; a late failure of (4) by some
+    # 9-letter qualifying word.
+    shortest = min(words, key=lambda w: (len(w), w))
+    if cond1:
+        assert witness1 is None
+    elif len(shortest) <= 3:
+        assert witness1 == shortest
+    else:
+        fat = {p for p in {w[:4] for w in words} if len(apply_word(dfa, full, p)) <= n - 2}
+        assert witness1 == min((w for w in words if w[:4] in fat), key=lambda w: (w[:4], len(w), w))
+    if cond4:
+        assert witness4 is None
+    elif len(shortest) <= 8:
+        assert witness4 == shortest
+    else:
+        sizes = tuple(len(apply_word(dfa, full, witness4[:t])) for t in range(10))
+        assert len(witness4) == 9 and witness4 in words
+        assert sizes != (n,) + (n - 1,) * 4 + (n - 2,) * 4 + (n - 3,)
 
 
 class TestEnumeration:
@@ -199,13 +244,21 @@ class TestKernelAgainstPublic:
                 assert auto.dist_le(m) == (res.length if res else None)
 
     def test_greedy_flags_match_public_checks(self):
+        # The sweep flags and the public checks share one decision
+        # procedure, so each is compared with the brute-force oracles.
         for dfa in random_dfas(71, 150, 4, 2) + random_dfas(72, 80, 5, 2) + random_dfas(73, 40, 6, 3):
-            auto = Auto(dfa.n, dfa.letters)
-            hyp, cond1, cond4 = auto.greedy_flags()
-            assert hyp == hypothesis_greedy(dfa)
-            if hyp:
-                assert cond1 == check_condition_1(dfa)[0]
-                assert cond4 == check_condition_4(dfa)[0]
+            _assert_greedy_matches_oracles(dfa)
+
+    @pytest.mark.slow
+    def test_greedy_decision_matches_oracles_exhaustive_n4(self):
+        # Every 4-state, 2-letter automaton in which no word of length <= 3
+        # reaches size 1: the ones where both conditions can fail late.
+        checked = 0
+        for dfa in enumerate_dfas(scope(4, 2)):
+            if brute_min_length_to_size(dfa, dfa.full_set(), 1, 3) is None:
+                _assert_greedy_matches_oracles(dfa)
+                checked += 1
+        assert checked == 23856
 
     def test_adb1_pair_matches_public(self):
         # The pair is anchored on the non-permutation letters, so it is the
