@@ -4,9 +4,13 @@ Everything here works on raw transition tables and subset bitmasks so
 that the exhaustive sweeps stay fast; automaton objects and the public
 construction/certificate machinery are only built for the rare automata
 whose hypotheses actually fire.  Where a fast path and a public function
-decide the same thing, they share one implementation (the greedy
-conditions (1) and (4) are decided by ``extremal._greedy_flags``); the
-independent reference is the brute-force code in the test suite.
+decide the same thing, they share one implementation: forward searches
+run ``power._bfs`` on the subset-image tables (the rank search, BFS
+distances, greedy stages and the pin reach sets), and the greedy
+conditions (1) and (4) are decided by ``extremal._greedy_flags``.  The
+only searches written here are ``Auto.backward_within`` and the
+prefix-tree walk of ``check_pin``.  The independent reference is the
+brute-force code in the test suite.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import (
 )
 from .construct import corank3_word, sync_pipeline
 from .extremal import _greedy_flags, assert_equivalence, pincor_check
-from .power import _size_masks, subset_images_for_table
+from .power import _bfs, _depth, _rank_search, _size_masks, subset_images_for_table
 from .structure import _anchor_pair, classify_pinlem, extract_certificate, validate_certificate
 
 THEOREM_IDS = (
@@ -71,34 +75,10 @@ class Auto:
     # -- basic power-automaton data -------------------------------------
 
     def forward(self):
-        """(first_at, rank): first_at[s] is the BFS depth first reaching a
-        set of size exactly s from the full set (None if never)."""
+        """(parent, rank): the power-automaton search from the full set,
+        stopped at the first singleton (``power._rank_search``)."""
         if self._forward is None:
-            n = self.n
-            imgs = self.imgs
-            first = [None] * (n + 1)
-            first[n] = 0
-            seen = 1 << self.full
-            frontier = [self.full]
-            depth = 0
-            best = n
-            while frontier:
-                depth += 1
-                nxt = []
-                for S in frontier:
-                    for img in imgs:
-                        T = img[S]
-                        b = 1 << T
-                        if not seen & b:
-                            seen |= b
-                            size = T.bit_count()
-                            if first[size] is None:
-                                first[size] = depth
-                                if size < best:
-                                    best = size
-                            nxt.append(T)
-                frontier = nxt
-            self._forward = (first, best)
+            self._forward = _rank_search(self.imgs, self.n)
         return self._forward
 
     @property
@@ -107,9 +87,11 @@ class Auto:
 
     def dist_le(self, m):
         """BFS distance from the full set to size <= m (None if unreachable)."""
-        first = self.forward()[0]
-        dists = [first[s] for s in range(0, m + 1) if s <= self.n and first[s] is not None]
-        return min(dists) if dists else None
+        parent = self.forward()[0]
+        for S in parent:
+            if S.bit_count() <= m:
+                return _depth(parent, S)
+        return None
 
     def backward_within(self, source_mask, steps):
         """Mask of subsets from which some set in source_mask is reachable
@@ -133,26 +115,8 @@ class Auto:
     def bfs_stage(self, start_mask, target_size):
         """(length, endpoint) of the lex-least shortest word from start_mask
         to size <= target_size, or None."""
-        if start_mask.bit_count() <= target_size:
-            return 0, start_mask
-        imgs = self.imgs
-        seen = 1 << start_mask
-        frontier = [start_mask]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for S in frontier:
-                for img in imgs:
-                    T = img[S]
-                    b = 1 << T
-                    if not seen & b:
-                        seen |= b
-                        if T.bit_count() <= target_size:
-                            return depth, T
-                        nxt.append(T)
-            frontier = nxt
-        return None
+        parent, hit = _bfs(self.imgs, start_mask, lambda T: T.bit_count() <= target_size)
+        return None if hit is None else (_depth(parent, hit), hit)
 
     # -- masks over subset indices ---------------------------------------
 
@@ -393,23 +357,13 @@ def check_pipeline(auto, stats):
 
 
 def _reach_within(auto, start_mask, steps, cache):
+    """The sets reachable from start_mask in at most ``steps`` letters,
+    cached per (start_mask, steps)."""
     key = (start_mask, steps)
     got = cache.get(key)
-    if got is not None:
-        return got
-    sets = {start_mask}
-    frontier = [start_mask]
-    for _ in range(steps):
-        nxt = []
-        for S in frontier:
-            for img in auto.imgs:
-                T = img[S]
-                if T not in sets:
-                    sets.add(T)
-                    nxt.append(T)
-        frontier = nxt
-    cache[key] = sets
-    return sets
+    if got is None:
+        got = cache[key] = _bfs(auto.imgs, start_mask, max_depth=steps)[0]
+    return got
 
 
 def check_pin(auto, stats, max_word_len=6):

@@ -66,8 +66,17 @@ def _emit(args, human_lines, payload):
             print(line)
 
 
-def _parse_state_set(text):
-    return StateSet.from_states(int(tok) for tok in text.replace(",", " ").split())
+def _parse_state_set(dfa, text):
+    states = []
+    for tok in text.replace(",", " ").split():
+        try:
+            q = int(tok)
+        except ValueError:
+            raise SynchroError(f"state {tok!r} is not an integer") from None
+        if not 1 <= q <= dfa.n:
+            raise SynchroError(f"state {q} out of range 1..{dfa.n}")
+        states.append(q)
+    return StateSet.from_states(states)
 
 
 def cmd_rank(args):
@@ -118,8 +127,8 @@ def cmd_compress(args):
 
 def _dot_graph(dfa, word_path):
     full = (1 << dfa.n) - 1
-    order, _hit = _bfs(dfa, full, range(dfa.k))  # keys in discovery order
     images = _steppers(dfa, range(dfa.k))
+    order, _hit = _bfs(images, full)  # keys in discovery order
     def label(mask):
         return "{" + ",".join(str(q + 1) for q in range(dfa.n) if (mask >> q) & 1) + "}"
     path_edges = set()
@@ -189,7 +198,7 @@ def cmd_greedy(args):
 def cmd_apply(args):
     dfa = _read_dfa(args.file)
     word = parse_word(dfa, args.word)
-    start = _parse_state_set(args.set) if args.set else dfa.full_set()
+    start = _parse_state_set(dfa, args.set) if args.set else dfa.full_set()
     result = apply_word(dfa, start, word)
     _emit(
         args,

@@ -20,7 +20,7 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .power import _bfs, _word_to, rank, shortest_compressing_word
+from .power import _bfs, _steppers, _word_to, rank, shortest_compressing_word
 from .structure import _View, extract_certificate, satisfies_corank2_hypothesis, validate_certificate
 
 __all__ = [
@@ -268,12 +268,12 @@ def pin_extension(dfa, w, c):
     # BFS over bridge words by (length, lex); deduplicating on the current
     # set is sound because only the set reached matters downstream.
     target = n - c
+    images = _steppers(dfa, range(dfa.k))
     parent, hit = _bfs(
-        dfa, A.mask, range(dfa.k),
-        lambda T: len(apply_word(dfa, StateSet(T), w)) <= target, max_depth=c,
+        images, A.mask, lambda T: len(apply_word(dfa, StateSet(T), w)) <= target, max_depth=c
     )
     if hit is not None:
-        return _word_to(dfa, range(dfa.k), parent, hit)
+        return _word_to(images, range(dfa.k), parent, hit)
     raise TheoremViolation(
         "extension bound: no bridge word of length <= c found",
         {

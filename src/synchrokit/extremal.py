@@ -25,6 +25,7 @@ from .power import (
     _TABLE_LIMIT,
     _bfs,
     _size_masks,
+    _steppers,
     _word_to,
     shortest_compressing_word,
     subset_image_tables,
@@ -173,14 +174,12 @@ def _decide(dfa):
     return tables, _greedy_flags(dfa.n, tables)
 
 
-def _exact_word_within(dfa, start_mask, target_size, steps):
+def _exact_word_within(images, start_mask, target_size, steps):
     """The lexicographically least shortest word of at most ``steps`` letters
-    taking ``start_mask`` to a set of size exactly ``target_size``, or None."""
-    letters = range(dfa.k)
-    parent, hit = _bfs(
-        dfa, start_mask, letters, lambda T: T.bit_count() == target_size, steps
-    )
-    return None if hit is None else _word_to(dfa, letters, parent, hit)
+    taking ``start_mask`` to a set of size exactly ``target_size``, or None;
+    ``images`` holds one subset-image map per letter."""
+    parent, hit = _bfs(images, start_mask, lambda T: T.bit_count() == target_size, steps)
+    return None if hit is None else _word_to(images, range(len(images)), parent, hit)
 
 
 def hypothesis_greedy(dfa):
@@ -195,13 +194,16 @@ def check_condition_1(dfa):
     (holds, violating word or None).
     """
     tables, (_, cond1, _) = _decide(dfa)
-    if cond1:
-        return True, None
+    return (True, None) if cond1 else (False, _condition_1_witness(dfa, tables))
+
+
+def _condition_1_witness(dfa, tables):
+    """A qualifying word breaking condition (1), which must fail."""
     n = dfa.n
     full = (1 << n) - 1
-    word = _exact_word_within(dfa, full, n - 3, 3)
+    word = _exact_word_within(tables, full, n - 3, 3)
     if word is not None:
-        return False, word
+        return word
     # Every qualifying word has length >= 4, so the failure is a 4-prefix
     # of size <= n-2 that still reaches size n-3 within five letters; the
     # flags guarantee this loop finds one.
@@ -210,9 +212,9 @@ def check_condition_1(dfa):
         for j in prefix:
             S = tables[j][S]
         if S.bit_count() <= n - 2:
-            completion = _exact_word_within(dfa, S, n - 3, 5)
+            completion = _exact_word_within(tables, S, n - 3, 5)
             if completion is not None:
-                return False, prefix + completion
+                return prefix + completion
 
 
 def _deviating_word(dfa, tables):
@@ -253,13 +255,16 @@ def _deviating_word(dfa, tables):
 def check_condition_4(dfa):
     """Every qualifying word has length 9 and the fixed 4+4+1 size profile."""
     tables, (_, _, cond4) = _decide(dfa)
-    if cond4:
-        return True, None
-    word = _exact_word_within(dfa, (1 << dfa.n) - 1, dfa.n - 3, 8)
+    return (True, None) if cond4 else (False, _condition_4_witness(dfa, tables))
+
+
+def _condition_4_witness(dfa, tables):
+    """A qualifying word breaking condition (4), which must fail."""
+    word = _exact_word_within(tables, (1 << dfa.n) - 1, dfa.n - 3, 8)
     if word is None:
         # Every qualifying word has length 9; one of them leaves the profile.
         word = _deviating_word(dfa, tables)
-    return False, word
+    return word
 
 
 def check_condition_2(dfa):
@@ -312,12 +317,13 @@ def check_condition_2(dfa):
         return ranked
 
     target = n - 3
+    images = _steppers(dfa, range(dfa.k))
     for b in b_candidates:
         for a in a_candidates:
             for w3 in w3_order():
                 word = (b, a, w3, b)
                 S = apply_word(dfa, dfa.full_set(), word).mask
-                if S.bit_count() <= n - 2 and _exact_word_within(dfa, S, target, 5) is not None:
+                if S.bit_count() <= n - 2 and _exact_word_within(images, S, target, 5) is not None:
                     return Condition2Result(False, cert, word)
     return Condition2Result(True, cert, None)
 
@@ -383,21 +389,20 @@ def check_condition_3(dfa):
 
 def assert_equivalence(dfa):
     """Evaluate all four conditions; disagreement flags a counterexample."""
-    if not hypothesis_greedy(dfa):
+    tables, (hyp, cond1, cond4) = _decide(dfa)
+    if not hyp:
         raise HypothesisFailed("no word of length <= 9 reaches size exactly n-3")
-    cond1, witness1 = check_condition_1(dfa)
     res2 = check_condition_2(dfa)
     renum3 = check_condition_3(dfa)
-    cond4, witness4 = check_condition_4(dfa)
     return GreedyConditionReport(
         cond1=cond1,
         cond2=res2.holds,
         cond3=renum3 is not None,
         cond4=cond4,
-        witness1=witness1,
+        witness1=None if cond1 else _condition_1_witness(dfa, tables),
         witness2=res2.witness,
         renumbering3=renum3,
-        witness4=witness4,
+        witness4=None if cond4 else _condition_4_witness(dfa, tables),
     )
 
 

@@ -251,8 +251,10 @@ def _run_block(args):
     counts = {tid: [0, 0] for tid in theorem_ids}  # checked, applicable
     violations = {tid: [] for tid in theorem_ids}
     stats = {tid: {} for tid in theorem_ids}
+    times = dict.fromkeys(theorem_ids, 0.0)
     for tables, imgs in _iter_block(scope, block_start, block_end):
         auto = Auto(scope.n, tables, imgs)
+        clock = time.perf_counter()
         for tid in theorem_ids:
             applicable, detail = checks[tid](auto, stats[tid])
             counts[tid][0] += 1
@@ -262,7 +264,10 @@ def _run_block(args):
                 violations[tid].append(
                     {"dfa": auto.serialized(), "detail": detail}
                 )
-    return counts, violations, stats
+            now = time.perf_counter()
+            times[tid] += now - clock
+            clock = now
+    return counts, violations, stats, times
 
 
 def _merge_stats(into, part):
@@ -277,13 +282,14 @@ def run_checks(theorem_ids, scope, jobs=1):
     """Run several theorem checks in one pass over the scope's population.
 
     Returns a dict theorem_id -> VerificationReport.  Identical scope and
-    seed give byte-identical reports for any job count.
+    seed give byte-identical reports for any job count.  A report's
+    ``wall_time`` is the time spent in its theorem's check, summed over
+    the blocks (and so over the workers when jobs > 1).
     """
     for tid in theorem_ids:
         if tid not in CHECKS:
             raise ValueError(f"unknown theorem id {tid!r} (known: {', '.join(THEOREM_IDS)})")
     _check_budget(scope)
-    start_time = time.monotonic()
     total = scope.total
     blocks = [
         (scope, tuple(theorem_ids), start, min(start + _BLOCK, total))
@@ -295,28 +301,25 @@ def run_checks(theorem_ids, scope, jobs=1):
 
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             partials = pool.imap_unordered(_run_block, blocks)
-            for counts, violations, stats in partials:
-                _fold(reports, counts, violations, stats)
+            for part in partials:
+                _fold(reports, *part)
     else:
         for block in blocks:
-            counts, violations, stats = _run_block(block)
-            _fold(reports, counts, violations, stats)
-    elapsed = time.monotonic() - start_time
-    for tid in theorem_ids:
-        report = reports[tid]
+            _fold(reports, *_run_block(block))
+    for report in reports.values():
         report.counterexamples.sort(
             key=lambda ce: (ce["dfa"], json.dumps(ce["detail"], sort_keys=True))
         )
-        report.wall_time = elapsed
     return reports
 
 
-def _fold(reports, counts, violations, stats):
+def _fold(reports, counts, violations, stats, times):
     for tid, (checked, applicable) in counts.items():
         reports[tid].checked_count += checked
         reports[tid].applicable_count += applicable
         reports[tid].counterexamples.extend(violations[tid])
         _merge_stats(reports[tid].stats, stats[tid])
+        reports[tid].wall_time += times[tid]
 
 
 def run_check(theorem_id, scope, jobs=1):

@@ -5,9 +5,9 @@ shortest compressing words, the rank of an automaton (the minimum
 reachable image size), size profiles, and the stage-wise greedy
 compressor.  It owns the power-automaton primitives the rest of the
 package builds on: the subset-image tables, the per-letter steppers, and
-the one forward search with lexicographically least parent links.  All
-searches run over the forward closure of the start set only, never the
-full subset lattice.
+the one forward search with lexicographically least parent links, which
+the verification sweep's kernel runs too.  All searches run over the
+forward closure of the start set only, never the full subset lattice.
 """
 
 from __future__ import annotations
@@ -114,20 +114,19 @@ def _normalize_letters(dfa, allowed_letters):
     return tuple(letters)
 
 
-def _bfs(dfa, start_mask, letter_indices, stop=None, max_depth=None):
+def _bfs(images, start_mask, stop=None, max_depth=None):
     """Forward breadth-first search over the power automaton.
 
-    Letters are explored in the given (ascending) order from a FIFO
-    frontier.  Returns (parent, hit): ``parent`` maps every discovered set
-    to the set it was first reached from (None for the start), in
-    discovery order, and ``hit`` is the first discovered set satisfying
-    ``stop`` -- the start included -- or None when the search ends, or
-    reaches ``max_depth``, without one.
+    ``images`` are the per-letter subset-image maps (see ``_steppers``),
+    explored in order from a FIFO frontier.  Returns (parent, hit):
+    ``parent`` maps every discovered set to the set it was first reached
+    from (None for the start), in discovery order, and ``hit`` is the first
+    discovered set satisfying ``stop`` -- the start included -- or None
+    when the search ends, or reaches ``max_depth``, without one.
     """
     parent = {start_mask: None}
     if stop is not None and stop(start_mask):
         return parent, start_mask
-    images = _steppers(dfa, letter_indices)
     frontier = [start_mask]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
@@ -145,17 +144,36 @@ def _bfs(dfa, start_mask, letter_indices, stop=None, max_depth=None):
     return parent, None
 
 
-def _word_to(dfa, letter_indices, parent, node):
+def _rank_search(images, n):
+    """(parent, rank): the search from the full set, stopped at the first
+    singleton.  Sets are discovered in BFS order, so the first discovered
+    set of any size <= m (m >= 1) is never cut off."""
+    parent, hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() == 1)
+    return parent, 1 if hit is not None else min(S.bit_count() for S in parent)
+
+
+def _depth(parent, node):
+    """Length of the parent chain from the search start to ``node``."""
+    depth = 0
+    while parent[node] is not None:
+        node = parent[node]
+        depth += 1
+    return depth
+
+
+def _word_to(images, letter_indices, parent, node):
     """The lexicographically least shortest word from the BFS start to ``node``.
 
-    The letter of each parent link is the first letter, in search order,
-    taking the parent onto the child: the one that discovered the child.
+    ``images`` are the maps the search ran on, one per letter of
+    ``letter_indices``.  The letter of each parent link is the first
+    letter, in search order, taking the parent onto the child: the one
+    that discovered the child.
     """
-    images = list(zip(letter_indices, _steppers(dfa, letter_indices)))
+    labelled = list(zip(letter_indices, images))
     word = []
     while parent[node] is not None:
         S = parent[node]
-        word.append(next(j for j, image in images if image[S] == node))
+        word.append(next(j for j, image in labelled if image[S] == node))
         node = S
     word.reverse()
     return tuple(word)
@@ -176,22 +194,18 @@ def shortest_compressing_word(dfa, start, target_size, allowed_letters=None, max
     if start.mask >> dfa.n:
         raise ValueError("start set contains states beyond the automaton")
     letters = _normalize_letters(dfa, allowed_letters)
-    parent, hit = _bfs(
-        dfa, start.mask, letters, lambda T: T.bit_count() <= target_size, max_len
-    )
+    images = _steppers(dfa, letters)
+    parent, hit = _bfs(images, start.mask, lambda T: T.bit_count() <= target_size, max_len)
     if hit is None:
         return None
-    word = _word_to(dfa, letters, parent, hit)
+    word = _word_to(images, letters, parent, hit)
     profile = size_profile(dfa, word, start=start)
     return CompressionResult(word=word, final_set=StateSet(hit), profile=profile)
 
 
 def rank(dfa):
     """Minimum reachable image size of the full state set; 1 means synchronizable."""
-    parent, hit = _bfs(dfa, (1 << dfa.n) - 1, range(dfa.k), lambda T: T.bit_count() == 1)
-    if hit is not None:
-        return 1
-    return min(S.bit_count() for S in parent)
+    return _rank_search(_steppers(dfa, range(dfa.k)), dfa.n)[1]
 
 
 def size_profile(dfa, w, start=None):

@@ -26,6 +26,38 @@ def brute_min_length_to_size(dfa, start, target_size, max_len):
     return None
 
 
+def brute_least_word(dfa, start, target_size, max_len):
+    """The first word, by length and then in itertools.product order, taking
+    ``start`` to size <= target_size within max_len letters, or None."""
+    for length in range(max_len + 1):
+        for w in all_words(dfa.k, length):
+            if len(apply_word(dfa, start, w)) <= target_size:
+                return w
+    return None
+
+
+def brute_reach_within(dfa, start, steps):
+    """The images of ``start`` under every word of length <= steps."""
+    return {
+        apply_word(dfa, start, w)
+        for length in range(steps + 1)
+        for w in all_words(dfa.k, length)
+    }
+
+
+def brute_closure(dfa, start):
+    """(depth, images): the least depth such that every image of ``start``
+    under any word is an image under a word of at most that length, and
+    those images.  Once one more letter adds no image, none ever does."""
+    depth = 0
+    images = {start}
+    while True:
+        wider = brute_reach_within(dfa, start, depth + 1)
+        if wider == images:
+            return depth, images
+        depth, images = depth + 1, wider
+
+
 def no_shorter_word(dfa, start, target_size, length):
     """True when no word strictly shorter than ``length`` reaches the target."""
     for shorter in range(0, length):

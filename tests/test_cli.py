@@ -258,6 +258,19 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ("0", "state 0 out of range 1..4"),
+            ("5", "state 5 out of range 1..4"),
+            ("1,x", "state 'x' is not an integer"),
+        ],
+    )
+    def test_apply_bad_set_exits_1(self, capsys, states, message):
+        code, out, err = run_cli(capsys, "apply", fixture_path("c4.dfa"), "ab", "--set", states)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: {message}"
+
     def test_unknown_verb_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

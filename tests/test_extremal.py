@@ -19,6 +19,7 @@ from synchrokit import (
     serialize_dfa,
     shortest_compressing_word,
 )
+from synchrokit import extremal
 from synchrokit.extremal import classify_greedy_letter
 
 from oracles import (
@@ -124,6 +125,18 @@ class TestConditionChecks:
                 classify_greedy_letter(dfa, s, numbering) for s in range(dfa.k)
             ]
             assert all(c in ("EQ_I", "EQ_A", "EQ_B") for c in classes)
+
+    def test_equivalence_decides_the_flags_once(self, monkeypatch):
+        decided = []
+        original = extremal._greedy_flags
+
+        def counting(n, tables):
+            decided.append(n)
+            return original(n, tables)
+
+        monkeypatch.setattr(extremal, "_greedy_flags", counting)
+        assert assert_equivalence(build_extremal_dfa(13)).consistent
+        assert decided == [13]
 
     def test_equivalence_requires_hypothesis(self, i3):
         with pytest.raises(HypothesisFailed):

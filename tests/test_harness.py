@@ -1,12 +1,14 @@
 import itertools
 import random
 import statistics
+import time
 
 import pytest
 
 from synchrokit import (
     BudgetExceeded,
     EnumerationScope,
+    StateSet,
     apply_word,
     enumerate_dfas,
     random_dfa,
@@ -16,16 +18,19 @@ from synchrokit import (
     serialize_dfa,
     shortest_compressing_word,
 )
-from synchrokit.checks import Auto
+from synchrokit.checks import Auto, _reach_within
 from synchrokit.extremal import check_condition_1, check_condition_4, hypothesis_greedy
 from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, canonical_form, is_canonical
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
 from oracles import (
     adb1_pairs,
+    brute_closure,
     brute_condition_1,
     brute_condition_4,
+    brute_least_word,
     brute_min_length_to_size,
+    brute_reach_within,
     qualifying_words,
     random_dfas,
 )
@@ -203,6 +208,13 @@ class TestReports:
         assert a.render() == b.render()
         assert a.checked_count == 2000
 
+    def test_wall_time_is_per_theorem(self):
+        start = time.perf_counter()
+        reports = run_checks(("pin", "pinlem-converse"), scope(3, 2))
+        elapsed = time.perf_counter() - start
+        assert all(r.wall_time > 0 for r in reports.values())
+        assert sum(r.wall_time for r in reports.values()) <= elapsed
+
     def test_wall_time_not_in_canonical_json(self):
         report = run_check("corank3", scope(2, 2))
         assert "wall_time_s" not in report.render()
@@ -232,16 +244,43 @@ class TestReports:
 
 
 class TestKernelAgainstPublic:
-    """The sweep kernel must agree with the public implementations."""
+    """The sweep kernel must agree with brute-force word enumeration and
+    with the public implementations."""
 
     def test_corank3_distances_match_bfs(self):
         for dfa in random_dfas(61, 150, 4, 2) + random_dfas(62, 60, 5, 3):
-            tables = dfa.letters
-            auto = Auto(dfa.n, tables)
-            assert auto.rank == rank(dfa)
+            auto = Auto(dfa.n, dfa.letters)
+            full = dfa.full_set()
+            depth, images = brute_closure(dfa, full)
+            assert auto.rank == min(len(S) for S in images)
             for m in range(1, dfa.n + 1):
-                res = shortest_compressing_word(dfa, dfa.full_set(), m)
-                assert auto.dist_le(m) == (res.length if res else None)
+                assert auto.dist_le(m) == brute_min_length_to_size(dfa, full, m, depth)
+
+    def test_bfs_stage_matches_least_word(self):
+        rng = random.Random(65)
+        for dfa in random_dfas(63, 40, 4, 2) + random_dfas(64, 20, 5, 3):
+            auto = Auto(dfa.n, dfa.letters)
+            masks = range(1, 1 << dfa.n)
+            if dfa.n == 5:
+                masks = rng.sample(masks, 6)
+            for mask in masks:
+                start = StateSet(mask)
+                depth, _ = brute_closure(dfa, start)
+                for target in range(1, len(start) + 1):
+                    w = brute_least_word(dfa, start, target, depth)
+                    expected = None if w is None else (len(w), apply_word(dfa, start, w).mask)
+                    assert auto.bfs_stage(mask, target) == expected
+
+    def test_reach_within_matches_brute_force(self):
+        rng = random.Random(68)
+        for dfa in random_dfas(66, 40, 4, 2) + random_dfas(67, 20, 5, 3):
+            auto = Auto(dfa.n, dfa.letters)
+            cache = {}
+            for mask in rng.sample(range(1, 1 << dfa.n), 6):
+                for steps in range(dfa.n):
+                    expected = {S.mask for S in brute_reach_within(dfa, StateSet(mask), steps)}
+                    for _ in range(2):  # computed, then cached
+                        assert set(_reach_within(auto, mask, steps, cache)) == expected
 
     def test_greedy_flags_match_public_checks(self):
         # The sweep flags and the public checks share one decision

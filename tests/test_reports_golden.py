@@ -1,0 +1,44 @@
+"""Sweep reports compared byte for byte with committed expected text.
+
+The expected files in ``tests/golden/`` hold the rendered reports of two
+fixed random scopes, one report after another in theorem-id order.  A
+change to the sweep kernel or to anything it calls must leave them
+unchanged.  If a change means to alter a report, regenerate the file
+with ``render_reports`` for the scope below and review the diff.
+"""
+
+import pathlib
+
+import pytest
+
+from synchrokit import EnumerationScope, run_checks
+from synchrokit.checks import THEOREM_IDS
+
+from test_acceptance import SWEEP5_IDS
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+GOLDEN = {
+    # Every id is applicable here, and pipeline, greedy-stages, lemmaX and
+    # pincor all carry stats.
+    "n4_k2_random3000_seed1": (
+        EnumerationScope(4, 2, mode="random", sample_count=3000, rng_seed=1),
+        THEOREM_IDS,
+    ),
+    "n5_k2_random2000_seed1": (
+        EnumerationScope(5, 2, mode="random", sample_count=2000, rng_seed=1),
+        ("corank3",) + SWEEP5_IDS,
+    ),
+}
+
+
+def render_reports(scope, theorem_ids):
+    reports = run_checks(theorem_ids, scope)
+    return "".join(reports[tid].render() for tid in theorem_ids)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_match_golden(name):
+    scope, theorem_ids = GOLDEN[name]
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text()
+    assert render_reports(scope, theorem_ids) == expected
