@@ -120,9 +120,6 @@ class Auto:
 
     # -- masks over subset indices ---------------------------------------
 
-    def exact_size_mask(self, size):
-        return _size_masks(self.n)[0][size]
-
     def size_le_mask(self, size):
         return _size_masks(self.n)[1][size]
 

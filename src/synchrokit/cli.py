@@ -33,12 +33,13 @@ from .errors import (
     TheoremViolation,
 )
 from .extremal import assert_equivalence, build_extremal_dfa, pincor_check
-from .harness import THEOREM_IDS, EnumerationScope, run_check
+from .harness import _DEFAULT_BUDGET, THEOREM_IDS, EnumerationScope, run_check
 from .power import (
     _bfs,
+    _rank_search,
     _steppers,
+    _word_to,
     greedy_word,
-    rank,
     shortest_compressing_word,
     size_profile,
 )
@@ -81,13 +82,17 @@ def _parse_state_set(dfa, text):
 
 def cmd_rank(args):
     dfa = _read_dfa(args.file)
-    r = rank(dfa)
-    witness = shortest_compressing_word(dfa, dfa.full_set(), r)
+    images = _steppers(dfa, range(dfa.k))
+    parent, r = _rank_search(images, dfa.n)
+    # The first discovered set of size <= r ends the witness, as it would
+    # end a search stopped there.
+    hit = next(S for S in parent if S.bit_count() <= r)
+    witness = _word_to(images, range(dfa.k), parent, hit)
     _emit(
         args,
-        [f"rank = {r}, witness length = {witness.length}"],
-        {"rank": r, "witness_length": witness.length,
-         "witness": format_word(dfa, witness.word)},
+        [f"rank = {r}, witness length = {len(witness)}"],
+        {"rank": r, "witness_length": len(witness),
+         "witness": format_word(dfa, witness)},
     )
     return 0
 
@@ -198,7 +203,7 @@ def cmd_greedy(args):
 def cmd_apply(args):
     dfa = _read_dfa(args.file)
     word = parse_word(dfa, args.word)
-    start = _parse_state_set(dfa, args.set) if args.set else dfa.full_set()
+    start = _parse_state_set(dfa, args.set) if args.set is not None else dfa.full_set()
     result = apply_word(dfa, start, word)
     _emit(
         args,
@@ -357,7 +362,6 @@ def cmd_verify(args):
         mode=mode,
         sample_count=args.samples,
         rng_seed=args.seed if mode == "random" else None,
-        canonical_filter=args.canonical,
         max_word_len=args.max_word_len,
         include_c4=args.include_c4,
         work_budget=args.budget,
@@ -454,18 +458,15 @@ def build_parser():
     p.add_argument("theorem", choices=THEOREM_IDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--exhaustive", action="store_true", help="(default mode)")
     p.add_argument("--samples", type=int, help="random mode with this many draws")
     p.add_argument("--seed", type=int, help="seed for random mode")
-    p.add_argument("--canonical", action="store_true",
-                   help="skip automata that are not canonically minimal")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-word-len", type=int, default=6,
                    help="word-length cap for the extension-bound sweep")
     p.add_argument("--include-c4", action="store_true",
                    help="corank3 only: also hunt for corank-4 counterexamples "
                         "(long-running opt-in job; hits are findings, not bugs)")
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=_DEFAULT_BUDGET,
                    help="refuse exhaustive scopes larger than this")
 
     return parser

@@ -87,9 +87,15 @@ def corank3_word(dfa, cert):
     that would refute the bound and is recorded by the harness.
     """
     _require_valid_cert(dfa, cert)
-    n = dfa.n
-    if rank(dfa) > n - 3:
+    if rank(dfa) > dfa.n - 3:
         raise HypothesisFailed("automaton does not compress to size n-3")
+    return _corank3_cases(dfa, cert)
+
+
+def _corank3_cases(dfa, cert):
+    """The case analysis of ``corank3_word``, for a valid certificate of an
+    automaton known to compress to size n-3."""
+    n = dfa.n
     view = _View(dfa, cert.renumbering)
     b, a, d = cert.b_letter, cert.a_letter, cert.d_letter
     X = cert.X
@@ -296,6 +302,12 @@ def franklpin_word(dfa, R, c):
         raise PreconditionFailed(f"corank {c} out of range 1..{n - 1}")
     if rank(dfa) > n - c:
         raise PreconditionFailed(f"automaton does not compress to size {n - c}")
+    return _franklpin_stage(dfa, R, c)
+
+
+def _franklpin_stage(dfa, R, c):
+    """``franklpin_word`` for an automaton known to compress to size n-c."""
+    n = dfa.n
     if len(R) > n - c + 1:
         raise PreconditionFailed(f"|R| = {len(R)} exceeds n-c+1 = {n - c + 1}")
     if len(R) <= n - c:
@@ -322,7 +334,8 @@ def sync_pipeline(dfa):
     The prefix compresses to size n-3 in at most 9 steps -- through the
     certificate construction when the corank-2 hypothesis holds, otherwise
     by direct search -- and each later stage applies the pair-compression
-    bound for c = 4, ..., n-1 in order.
+    bound for c = 4, ..., n-1 in order.  Rank 1 meets every stage's
+    precondition rank <= n-c, so the rank is searched for once.
     """
     n = dfa.n
     if n < 4:
@@ -330,7 +343,9 @@ def sync_pipeline(dfa):
     if rank(dfa) != 1:
         raise PreconditionFailed("automaton is not synchronizable")
     if satisfies_corank2_hypothesis(dfa):
-        u, _tag = corank3_word(dfa, extract_certificate(dfa))
+        cert = extract_certificate(dfa)
+        _require_valid_cert(dfa, cert)
+        u, _tag = _corank3_cases(dfa, cert)
     else:
         u = shortest_compressing_word(dfa, dfa.full_set(), n - 3).word
     if len(u) > 9:
@@ -341,7 +356,7 @@ def sync_pipeline(dfa):
     current = apply_word(dfa, dfa.full_set(), u)
     word = list(u)
     for c in range(4, n):
-        stage = franklpin_word(dfa, current, c)
+        stage = _franklpin_stage(dfa, current, c)
         word.extend(stage)
         current = apply_word(dfa, current, stage)
     bound = (n ** 3 - n) // 6 - 1

@@ -267,6 +267,17 @@ def _condition_4_witness(dfa, tables):
     return word
 
 
+def _certificate(dfa):
+    """The corank-2 certificate, or None when the hypothesis fails or no
+    certificate can be extracted."""
+    if not satisfies_corank2_hypothesis(dfa):
+        return None
+    try:
+        return extract_certificate(dfa)
+    except CertificateContradiction:
+        return None
+
+
 def check_condition_2(dfa):
     """The certificate exists and no qualifying word shaped b.a.?.b is fast.
 
@@ -277,13 +288,13 @@ def check_condition_2(dfa):
     one merged pair and one missing state, the candidate roles can be
     enumerated directly.
     """
+    return _condition_2(dfa, _certificate(dfa))
+
+
+def _condition_2(dfa, cert):
+    if cert is None:
+        return Condition2Result(False, None, None)
     n = dfa.n
-    if not satisfies_corank2_hypothesis(dfa):
-        return Condition2Result(False, None, None)
-    try:
-        cert = extract_certificate(dfa)
-    except CertificateContradiction:
-        return Condition2Result(False, None, None)
     view = _View(dfa, cert.renumbering)
     b_candidates = [
         s
@@ -361,13 +372,11 @@ def check_condition_3(dfa):
     must be exactly the four cycled states, tried in its four rotations.
     Returns the full renumbering (original -> new label) or None.
     """
-    if not satisfies_corank2_hypothesis(dfa):
-        return None
-    try:
-        cert = extract_certificate(dfa)
-    except CertificateContradiction:
-        return None
-    if len(cert.X) != 4:
+    return _condition_3(dfa, _certificate(dfa))
+
+
+def _condition_3(dfa, cert):
+    if cert is None or len(cert.X) != 4:
         return None
     new_to_old = {new: old for old, new in enumerate(cert.renumbering, start=1)}
     orbit = [new_to_old[label] for label in cert.X]
@@ -392,8 +401,9 @@ def assert_equivalence(dfa):
     tables, (hyp, cond1, cond4) = _decide(dfa)
     if not hyp:
         raise HypothesisFailed("no word of length <= 9 reaches size exactly n-3")
-    res2 = check_condition_2(dfa)
-    renum3 = check_condition_3(dfa)
+    cert = _certificate(dfa)
+    res2 = _condition_2(dfa, cert)
+    renum3 = _condition_3(dfa, cert)
     return GreedyConditionReport(
         cond1=cond1,
         cond2=res2.holds,

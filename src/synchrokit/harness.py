@@ -11,7 +11,6 @@ are sorted by their serialized form.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
@@ -29,8 +28,6 @@ __all__ = [
     "VerificationReport",
     "enumerate_dfas",
     "random_dfa",
-    "canonical_form",
-    "is_canonical",
     "run_check",
     "run_checks",
 ]
@@ -48,7 +45,6 @@ class EnumerationScope:
     mode: str = "exhaustive"
     sample_count: int | None = None
     rng_seed: int | None = None
-    canonical_filter: bool = False
     max_word_len: int = 6
     include_c4: bool = False
     work_budget: int = _DEFAULT_BUDGET
@@ -80,8 +76,6 @@ class EnumerationScope:
         if self.mode == "random":
             out["samples"] = self.sample_count
             out["seed"] = self.rng_seed
-        if self.canonical_filter:
-            out["canonical"] = True
         if self.max_word_len != 6:
             out["max_word_len"] = self.max_word_len
         if self.include_c4:
@@ -131,32 +125,6 @@ def random_dfa(n, k, rng):
         tuple(rng.randrange(1, n + 1) for _ in range(n)) for _ in range(k)
     ]
     return Dfa.from_tables(tables)
-
-
-def canonical_form(tables, n):
-    """Lexicographically least tuple of tables under simultaneous state
-    permutation and letter reordering (0-based tables)."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        relabeled = tuple(
-            tuple(perm[table[q]] for q in _inverse_order(perm, n))
-            for table in tables
-        )
-        candidate = tuple(sorted(relabeled))
-        if best is None or candidate < best:
-            best = candidate
-    return best
-
-
-def _inverse_order(perm, n):
-    inv = [0] * n
-    for q, label in enumerate(perm):
-        inv[label] = q
-    return inv
-
-
-def is_canonical(tables, n):
-    return tuple(tables) == canonical_form(tables, n)
 
 
 def _function_table(fid, n):
@@ -232,8 +200,6 @@ def _iter_block(scope, block_start, block_end):
             tables = tuple(funcs[fid] for fid in fids)
         else:
             tables = tuple(_function_table(fid, n) for fid in fids)
-        if scope.canonical_filter and not is_canonical(tables, n):
-            continue
         imgs = [si[fid] for fid in fids] if si is not None else None
         yield tables, imgs
 

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from synchrokit import apply_word, load_dfa
-from synchrokit.cli import main
+from synchrokit import apply_word, load_dfa, power
+from synchrokit.cli import build_parser, main
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +25,20 @@ class TestBasicVerbs:
         payload = json.loads(out)
         assert code == 0
         assert payload == {"rank": 1, "witness_length": 9, "witness": "baaabaaab"}
+
+    def test_rank_searches_once(self, capsys, monkeypatch):
+        searches = []
+        original = power._bfs
+
+        def counting(*args, **kwargs):
+            searches.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(power, "_bfs", counting)
+        code, out, _ = run_cli(capsys, "rank", fixture_path("c5.dfa"), "--json")
+        assert code == 0
+        assert json.loads(out) == {"rank": 1, "witness_length": 16, "witness": "baaaabaaaabaaaab"}
+        assert searches == [0b11111]
 
     def test_compress_target(self, capsys):
         code, out, _ = run_cli(
@@ -90,11 +104,14 @@ class TestBasicVerbs:
         assert payload["stage_boundaries"] == [1, 4, 10]
 
     def test_apply(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "apply", fixture_path("c4.dfa"), "baab", "--set", "1,3", "--json"
-        )
-        payload = json.loads(out)
-        assert payload["result"] == [2, 4]
+        # An empty --set is the empty set, not the default full set.
+        for states, start, result in (("1,3", [1, 3], [2, 4]), ("", [], [])):
+            code, out, _ = run_cli(
+                capsys, "apply", fixture_path("c4.dfa"), "baab", "--set", states, "--json"
+            )
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["start"] == start and payload["result"] == result
 
     def test_apply_default_full(self, capsys):
         code, out, _ = run_cli(capsys, "apply", fixture_path("c4.dfa"), "baaabaaab")
@@ -185,7 +202,7 @@ class TestStructureVerbs:
 class TestVerifyVerb:
     def test_verify_exhaustive(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "corank3", "--n", "3", "--k", "2", "--exhaustive"
+            capsys, "verify", "corank3", "--n", "3", "--k", "2"
         )
         assert code == 0
         assert "violations 0" in out
@@ -229,6 +246,31 @@ class TestVerifyVerb:
         with pytest.raises(SystemExit) as err:
             main(["verify", "nope", "--n", "3"])
         assert err.value.code != 0
+
+
+class TestEveryVerb:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.dfa")))
+    def test_no_traceback(self, capsys, name):
+        # Every verb on the fixture, in human and JSON output, ends in an
+        # exit status and never in an uncaught exception.
+        path = fixture_path(name)
+        dfa = load_fixture(name)
+        word = dfa.names[-1] + dfa.names[0]
+        n = str(dfa.n)
+        verbs = [
+            ["rank", path], ["compress", path, "--corank", "1"], ["profile", path, word],
+            ["greedy", path, "--corank", "1"], ["apply", path, word], ["structure", path],
+            ["classify", path], ["construct", path], ["extend", path, word, "--corank", "1"],
+            ["pipeline", path], ["greedy-conditions", path], ["extremal", "--n", n],
+            ["pincor", path], ["verify", "corank3", "--n", n, "--samples", "20", "--seed", "1"],
+        ]
+        parsed = next(a.choices for a in build_parser()._actions if a.dest == "verb")
+        assert sorted(argv[0] for argv in verbs) == sorted(parsed)
+        for argv in verbs:
+            for output in ([], ["--json"]):
+                code, _, err = run_cli(capsys, *argv, *output)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err, argv
 
 
 class TestErrors:

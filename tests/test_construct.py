@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from synchrokit import (
+    Dfa,
     HypothesisFailed,
     PreconditionFailed,
     StateSet,
@@ -20,6 +21,7 @@ from synchrokit import (
     sync_pipeline,
     validate_certificate,
 )
+from synchrokit import construct
 
 from conftest import CASE_FIXTURES
 
@@ -193,3 +195,20 @@ class TestSyncPipeline:
         word = sync_pipeline(dfa)
         assert len(word) <= 9
         assert len(apply_word(dfa, dfa.full_set(), word)) == 1
+
+    def test_one_rank_search(self, monkeypatch):
+        # Rank 1 meets the precondition of the corank-3 prefix and of every
+        # pair-compression stage, so only the pipeline itself searches.
+        searched = []
+        original = construct.rank
+
+        def counting(dfa):
+            searched.append(dfa.n)
+            return original(dfa)
+
+        monkeypatch.setattr(construct, "rank", counting)
+        n = 10
+        cerny = Dfa.from_tables([[q % n + 1 for q in range(1, n + 1)], [2] + list(range(2, n + 1))])
+        word = sync_pipeline(cerny)
+        assert len(apply_word(cerny, cerny.full_set(), word)) == 1
+        assert searched == [n]

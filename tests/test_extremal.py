@@ -138,6 +138,18 @@ class TestConditionChecks:
         assert assert_equivalence(build_extremal_dfa(13)).consistent
         assert decided == [13]
 
+    def test_equivalence_extracts_the_certificate_once(self, monkeypatch):
+        extracted = []
+        original = extremal.extract_certificate
+
+        def counting(dfa):
+            extracted.append(dfa.n)
+            return original(dfa)
+
+        monkeypatch.setattr(extremal, "extract_certificate", counting)
+        assert assert_equivalence(build_extremal_dfa(9)).consistent
+        assert extracted == [9]
+
     def test_equivalence_requires_hypothesis(self, i3):
         with pytest.raises(HypothesisFailed):
             assert_equivalence(i3)

@@ -20,7 +20,7 @@ from synchrokit import (
 )
 from synchrokit.checks import Auto, _reach_within
 from synchrokit.extremal import check_condition_1, check_condition_4, hypothesis_greedy
-from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, canonical_form, is_canonical
+from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
 from oracles import (
@@ -98,20 +98,6 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded) as err:
             list(enumerate_dfas(scope(5, 2, work_budget=1000)))
         assert err.value.count == 9765625
-
-    def test_canonical_filter_n2(self):
-        kept = list(enumerate_dfas(scope(2, 1, canonical_filter=True)))
-        assert len(kept) == 3
-
-    def test_canonical_form_idempotent(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            tables = tuple(
-                tuple(rng.randrange(3) for _ in range(3)) for _ in range(2)
-            )
-            canon = canonical_form(tables, 3)
-            assert canonical_form(canon, 3) == canon
-            assert is_canonical(canon, 3)
 
     def test_scope_validation(self):
         with pytest.raises(ValueError):
