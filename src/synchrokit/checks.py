@@ -1,16 +1,18 @@
 """Per-automaton theorem checks used by the verification sweeps.
 
 Everything here works on raw transition tables and subset bitmasks so
-that the exhaustive sweeps stay fast; automaton objects and the public
-construction/certificate machinery are only built for the rare automata
-whose hypotheses actually fire.  Where a fast path and a public function
-decide the same thing, they share one implementation: forward searches
-run ``power._bfs`` on the subset-image tables (the rank search, BFS
-distances, greedy stages and the pin reach sets), and the greedy
-conditions (1) and (4) are decided by ``extremal._greedy_flags``.  The
-only searches written here are ``Auto.backward_within`` and the
-prefix-tree walk of ``check_pin``.  The independent reference is the
-brute-force code in the test suite.
+that the exhaustive sweeps stay fast; an automaton object is only built
+for the rare automata whose corank-2 hypothesis holds, and their
+certificate is extracted and validated once, shared by every check.
+Where a fast path and a public function decide the same thing, they
+share one implementation: forward searches run ``power._bfs`` on the
+subset-image tables (the rank search, BFS distances, greedy stages and
+the pin reach sets), the greedy conditions (1) and (4) are decided by
+``extremal._greedy_flags``, and the pipeline check runs
+``construct._pipeline``, the core of ``sync_pipeline``, on the tables
+and the rank search's parent links.  The only searches written here are
+``Auto.backward_within`` and the prefix-tree walk of ``check_pin``.  The
+independent reference is the brute-force code in the test suite.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .errors import (
     HypothesisFailed,
     TheoremViolation,
 )
-from .construct import corank3_word, sync_pipeline
-from .extremal import _greedy_flags, assert_equivalence, pincor_check
+from .construct import _corank3_cases, _pipeline, _require_valid
+from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
 from .power import _bfs, _depth, _rank_search, _size_masks, subset_images_for_table
 from .structure import _anchor_pair, classify_pinlem, extract_certificate, validate_certificate
 
@@ -54,7 +56,6 @@ class Auto:
         "_forward",
         "_dfa",
         "_cert",
-        "_cert_done",
         "_greedy_flags",
     )
 
@@ -69,7 +70,6 @@ class Auto:
         self._forward = None
         self._dfa = None
         self._cert = None
-        self._cert_done = False
         self._greedy_flags = None
 
     # -- basic power-automaton data -------------------------------------
@@ -149,17 +149,20 @@ class Auto:
         return self._dfa
 
     def certificate(self):
-        """(certificate, error): extraction result, memoized.
+        """(certificate, report, error): extraction and validation (with the
+        quantified clause (iii) at n <= 12), memoized.
 
         Only called when corank2_hypothesis holds; a contradiction is
         returned, not raised, so sweeps can record it.
         """
-        if not self._cert_done:
+        if self._cert is None:
             try:
-                self._cert = (extract_certificate(self.dfa()), None)
+                cert = extract_certificate(self.dfa())
             except CertificateContradiction as e:
-                self._cert = (None, e)
-            self._cert_done = True
+                self._cert = (None, None, e)
+            else:
+                report = validate_certificate(self.dfa(), cert, exhaustive_iii=self.n <= 12)
+                self._cert = (cert, report, None)
         return self._cert
 
     def serialized(self):
@@ -250,10 +253,9 @@ def check_greedy_stages(auto, stats):
 def check_corank2_cert(auto, stats):
     if not auto.corank2_hypothesis:
         return False, None
-    cert, err = auto.certificate()
+    cert, report, err = auto.certificate()
     if err is not None:
         return True, {"claim": "corank2-cert", "contradiction": str(err)}
-    report = validate_certificate(auto.dfa(), cert, exhaustive_iii=auto.n <= 12)
     if not report.all_pass:
         return True, {"claim": "corank2-cert", "failures": list(report.failures)}
     if cert.a_replaced:
@@ -266,11 +268,12 @@ def check_lemmaX(auto, stats):
     n = auto.n
     if not auto.corank2_hypothesis or auto.rank > n - 3:
         return False, None
-    cert, err = auto.certificate()
+    cert, report, err = auto.certificate()
     if err is not None:
         return True, {"claim": "lemmaX", "contradiction": str(err)}
     try:
-        word, tag = corank3_word(auto.dfa(), cert)
+        _require_valid(report)
+        word, tag = _corank3_cases(auto.dfa(), cert)
     except (ConstructionContradiction, HypothesisFailed) as e:
         return True, {"claim": "lemmaX", "error": str(e)}
     stats[tag.case] = stats.get(tag.case, 0) + 1
@@ -289,8 +292,9 @@ def check_greedy_equiv(auto, stats):
     if not hyp:
         return False, None
     if auto.corank2_hypothesis:
-        conditions = assert_equivalence(auto.dfa()).conditions
-        if conditions[0]:
+        dfa, cert = auto.dfa(), auto.certificate()[0]
+        conditions = (cond1, _condition_2(dfa, cert).holds, _condition_3(dfa, cert) is not None, cond4)
+        if cond1:
             stats["extremal"] = stats.get("extremal", 0) + 1
     else:
         # Without the corank-2 hypothesis no certificate exists, so
@@ -304,7 +308,7 @@ def check_greedy_equiv(auto, stats):
 def check_pinlem(auto, stats):
     if not auto.corank2_hypothesis:
         return False, None
-    cert, err = auto.certificate()
+    cert, _report, err = auto.certificate()
     if err is not None:
         return True, {"claim": "pinlem", "contradiction": str(err)}
     classification = classify_pinlem(auto.dfa(), cert)
@@ -329,7 +333,7 @@ def check_pinlem_converse(auto, stats):
 def check_pincor(auto, stats):
     if not auto.corank2_hypothesis or auto.rank > auto.n - 3:
         return False, None
-    cert, err = auto.certificate()
+    cert, _report, err = auto.certificate()
     if err is not None:
         return True, {"claim": "pincor", "contradiction": str(err)}
     if not pincor_check(auto.dfa(), cert):
@@ -342,14 +346,20 @@ def check_pipeline(auto, stats):
     n = auto.n
     if n < 4 or auto.rank != 1:
         return False, None
+    cert = None
+    if auto.corank2_hypothesis:
+        cert, report, err = auto.certificate()
+        if err is not None:
+            return True, {"claim": "pipeline", "contradiction": str(err)}
     try:
-        word = sync_pipeline(auto.dfa())
+        if cert is not None:
+            _require_valid(report)
+        word = _pipeline(auto.imgs, n, auto.forward()[0], cert, auto.dfa)
     except TheoremViolation as e:
         return True, {"claim": "pipeline", **e.detail}
-    bound = (n ** 3 - n) // 6 - 1
+    except (ConstructionContradiction, HypothesisFailed) as e:
+        return True, {"claim": "pipeline", "error": str(e)}
     stats["max_len"] = max(stats.get("max_len", 0), len(word))
-    if len(word) > bound:
-        return True, {"claim": "pipeline", "word": list(word), "bound": bound}
     return True, None
 
 

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import StateSet, apply_word, serialize_dfa
+from .automaton import StateSet, _check_subset, apply_word, serialize_dfa
 from .errors import (
     ConstructionContradiction,
     HypothesisFailed,
     PreconditionFailed,
     TheoremViolation,
 )
-from .power import _bfs, _steppers, _word_to, rank, shortest_compressing_word
-from .structure import _View, extract_certificate, satisfies_corank2_hypothesis, validate_certificate
+from .power import _bfs, _depth, _rank_search, _steppers, _word_to, rank
+from .structure import _View, extract_certificate, validate_certificate
 
 __all__ = [
     "CaseTag",
@@ -68,8 +68,8 @@ def corank2_word(cert):
     return (cert.b_letter, cert.a_letter, cert.d_letter, cert.b_letter)
 
 
-def _require_valid_cert(dfa, cert):
-    report = validate_certificate(dfa, cert)
+def _require_valid(report):
+    """Raise HypothesisFailed unless the certificate report passes."""
     if not report.all_pass:
         raise HypothesisFailed(
             "certificate does not validate: " + "; ".join(report.failures)
@@ -86,7 +86,7 @@ def corank3_word(dfa, cert):
     Raises ConstructionContradiction when no case lands on size n-3 --
     that would refute the bound and is recorded by the harness.
     """
-    _require_valid_cert(dfa, cert)
+    _require_valid(validate_certificate(dfa, cert))
     if rank(dfa) > dfa.n - 3:
         raise HypothesisFailed("automaton does not compress to size n-3")
     return _corank3_cases(dfa, cert)
@@ -302,30 +302,33 @@ def franklpin_word(dfa, R, c):
         raise PreconditionFailed(f"corank {c} out of range 1..{n - 1}")
     if rank(dfa) > n - c:
         raise PreconditionFailed(f"automaton does not compress to size {n - c}")
-    return _franklpin_stage(dfa, R, c)
-
-
-def _franklpin_stage(dfa, R, c):
-    """``franklpin_word`` for an automaton known to compress to size n-c."""
-    n = dfa.n
     if len(R) > n - c + 1:
         raise PreconditionFailed(f"|R| = {len(R)} exceeds n-c+1 = {n - c + 1}")
-    if len(R) <= n - c:
-        return ()
+    _check_subset(dfa, R)
+    return _franklpin_stage(_steppers(dfa, range(dfa.k)), n, R.mask, c, lambda: dfa)[0]
+
+
+def _franklpin_stage(images, n, R, c, dfa):
+    """(word, landing set): the lex-least shortest word taking the set R
+    (a mask, |R| <= n-c+1) to size <= n-c, over the per-letter subset-image
+    maps ``images``.  ``dfa()`` returns the automaton for a violation's record."""
+    if R.bit_count() <= n - c:
+        return (), R
     bound = c * (c + 1) // 2
-    res = shortest_compressing_word(dfa, R, n - c)
-    if res is None or res.length > bound:
+    parent, hit = _bfs(images, R, lambda T: T.bit_count() <= n - c)
+    word = () if hit is None else _word_to(images, range(len(images)), parent, hit)
+    if hit is None or len(word) > bound:
         raise TheoremViolation(
             "pair-compression bound: shortest word exceeds c(c+1)/2",
             {
-                "dfa": serialize_dfa(dfa),
-                "R": list(R),
+                "dfa": serialize_dfa(dfa()),
+                "R": list(StateSet(R)),
                 "c": c,
                 "bound": bound,
-                "found": None if res is None else res.length,
+                "found": None if hit is None else len(word),
             },
         )
-    return res.word
+    return word, hit
 
 
 def sync_pipeline(dfa):
@@ -334,40 +337,56 @@ def sync_pipeline(dfa):
     The prefix compresses to size n-3 in at most 9 steps -- through the
     certificate construction when the corank-2 hypothesis holds, otherwise
     by direct search -- and each later stage applies the pair-compression
-    bound for c = 4, ..., n-1 in order.  Rank 1 meets every stage's
-    precondition rank <= n-c, so the rank is searched for once.
+    bound for c = 4, ..., n-1 in order.  One rank search serves the
+    synchronizability check, the hypothesis and the direct prefix.
     """
     n = dfa.n
     if n < 4:
         raise PreconditionFailed("the pipeline bound requires n >= 4")
-    if rank(dfa) != 1:
+    images = _steppers(dfa, range(dfa.k))
+    parent, r = _rank_search(images, n)
+    if r != 1:
         raise PreconditionFailed("automaton is not synchronizable")
-    if satisfies_corank2_hypothesis(dfa):
+    cert = None
+    if _depth(parent, next(S for S in parent if S.bit_count() <= n - 2)) >= 4:
         cert = extract_certificate(dfa)
-        _require_valid_cert(dfa, cert)
-        u, _tag = _corank3_cases(dfa, cert)
+        _require_valid(validate_certificate(dfa, cert))
+    return _pipeline(images, n, parent, cert, lambda: dfa)
+
+
+def _pipeline(images, n, parent, cert, dfa):
+    """``sync_pipeline`` on the subset-image maps and rank-search parent links
+    of a synchronizing automaton, n >= 4.  ``cert`` is a valid certificate
+    when the corank-2 hypothesis holds, else None; ``dfa()`` returns the
+    automaton, for the certified prefix and a violation's record."""
+    if cert is not None:
+        u = _corank3_cases(dfa(), cert)[0]
     else:
-        u = shortest_compressing_word(dfa, dfa.full_set(), n - 3).word
+        # The first discovered set of size <= n-3 ends the lex-least
+        # shortest prefix, as it would end a search stopped there.
+        hit = next(S for S in parent if S.bit_count() <= n - 3)
+        u = _word_to(images, range(len(images)), parent, hit)
+    current = (1 << n) - 1
+    for s in u:
+        current = images[s][current]
     if len(u) > 9:
         raise TheoremViolation(
             "corank-3 bound: prefix word exceeds 9 letters",
-            {"dfa": serialize_dfa(dfa), "prefix": list(u)},
+            {"dfa": serialize_dfa(dfa()), "prefix": list(u)},
         )
-    current = apply_word(dfa, dfa.full_set(), u)
     word = list(u)
     for c in range(4, n):
-        stage = _franklpin_stage(dfa, current, c)
+        stage, current = _franklpin_stage(images, n, current, c, dfa)
         word.extend(stage)
-        current = apply_word(dfa, current, stage)
     bound = (n ** 3 - n) // 6 - 1
-    if len(word) > bound or len(current) != 1:
+    if len(word) > bound or current.bit_count() != 1:
         raise TheoremViolation(
             "pipeline bound: synchronizing word exceeds (n^3-n)/6 - 1",
             {
-                "dfa": serialize_dfa(dfa),
+                "dfa": serialize_dfa(dfa()),
                 "word": word,
                 "bound": bound,
-                "final_size": len(current),
+                "final_size": current.bit_count(),
             },
         )
     return tuple(word)

@@ -30,11 +30,7 @@ from .power import (
     shortest_compressing_word,
     subset_image_tables,
 )
-from .structure import (
-    _View,
-    extract_certificate,
-    satisfies_corank2_hypothesis,
-)
+from .structure import _View, extract_certificate
 
 __all__ = [
     "GreedyConditionReport",
@@ -270,11 +266,9 @@ def _condition_4_witness(dfa, tables):
 def _certificate(dfa):
     """The corank-2 certificate, or None when the hypothesis fails or no
     certificate can be extracted."""
-    if not satisfies_corank2_hypothesis(dfa):
-        return None
     try:
         return extract_certificate(dfa)
-    except CertificateContradiction:
+    except (HypothesisFailed, CertificateContradiction):
         return None
 
 

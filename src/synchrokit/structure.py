@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .automaton import _ImageMap
 from .errors import CertificateContradiction, HypothesisFailed, PreconditionFailed
-from .power import shortest_compressing_word
+from .power import _bfs, _depth, _word_to, shortest_compressing_word
 
 __all__ = [
     "StructureCertificate",
@@ -211,12 +211,16 @@ def extract_certificate(dfa):
     be a counterexample to the structure theory, and is recorded as such by
     the verification harness).
     """
-    res = shortest_compressing_word(dfa, dfa.full_set(), dfa.n - 2) if dfa.n >= 3 else None
-    if res is None or res.length < 4:
+    # Every set expanded before the first one of size <= n-2 has size n or
+    # n-1, so per-set images beat building the 2^n-entry tables.
+    n = dfa.n
+    images = [_ImageMap(table) for table in dfa.letters]
+    parent, hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() <= n - 2)
+    if n < 3 or hit is None or _depth(parent, hit) < 4:
         raise HypothesisFailed(
             "automaton does not compress to size n-2 in 4-or-more-step fashion"
         )
-    w = res.word
+    w = _word_to(images, range(dfa.k), parent, hit)
     b = w[0]
 
     def contradiction(msg, **detail):

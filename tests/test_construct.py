@@ -8,6 +8,7 @@ from synchrokit import (
     PreconditionFailed,
     StateSet,
     apply_word,
+    build_extremal_dfa,
     corank2_word,
     corank3_word,
     extract_certificate,
@@ -22,8 +23,14 @@ from synchrokit import (
     validate_certificate,
 )
 from synchrokit import construct
+from synchrokit.checks import Auto
 
 from conftest import CASE_FIXTURES
+from oracles import random_dfas
+
+
+def _cerny(n):
+    return Dfa.from_tables([[q % n + 1 for q in range(1, n + 1)], [2] + list(range(2, n + 1))])
 
 
 class TestCorank2Word:
@@ -200,15 +207,40 @@ class TestSyncPipeline:
         # Rank 1 meets the precondition of the corank-3 prefix and of every
         # pair-compression stage, so only the pipeline itself searches.
         searched = []
-        original = construct.rank
+        original = construct._rank_search
 
-        def counting(dfa):
-            searched.append(dfa.n)
-            return original(dfa)
+        def counting(images, n):
+            searched.append(n)
+            return original(images, n)
 
-        monkeypatch.setattr(construct, "rank", counting)
+        monkeypatch.setattr(construct, "_rank_search", counting)
+        monkeypatch.setattr(construct, "rank", None)
         n = 10
-        cerny = Dfa.from_tables([[q % n + 1 for q in range(1, n + 1)], [2] + list(range(2, n + 1))])
+        cerny = _cerny(n)
         word = sync_pipeline(cerny)
         assert len(apply_word(cerny, cerny.full_set(), word)) == 1
         assert searched == [n]
+
+    def test_core_on_sweep_data_matches_public_word(self):
+        # The sweep runs the pipeline core on an Auto's tables, rank-search
+        # links and shared certificate; it must spell sync_pipeline's word.
+        dfas = [dfa for n in range(4, 8) for k in (2, 3) for dfa in random_dfas(70 + 2 * n + k, 150, n, k)]
+        dfas += [_cerny(n) for n in range(4, 14)]
+        dfas += [build_extremal_dfa(n, identity) for n in range(4, 14) for identity in (True, False)]
+        dfas += [load_dfa(text) for text in CASE_FIXTURES.values()]
+        certified = checked = 0
+        for dfa in dfas:
+            if rank(dfa) != 1:
+                continue
+            auto = Auto(dfa.n, dfa.letters)
+            cert = None
+            if auto.corank2_hypothesis:
+                cert, report, err = auto.certificate()
+                assert err is None and report.all_pass
+                certified += 1
+            word = construct._pipeline(auto.imgs, dfa.n, auto.forward()[0], cert, auto.dfa)
+            assert word == sync_pipeline(dfa)
+            assert len(word) <= (dfa.n ** 3 - dfa.n) // 6 - 1
+            assert len(apply_word(dfa, dfa.full_set(), word)) == 1
+            checked += 1
+        assert 0 < certified < checked

@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
 import random
 import statistics
+import sys
 import time
 
 import pytest
 
 from synchrokit import (
     BudgetExceeded,
+    CertificateContradiction,
+    ConstructionContradiction,
     EnumerationScope,
     StateSet,
     apply_word,
@@ -18,9 +22,10 @@ from synchrokit import (
     serialize_dfa,
     shortest_compressing_word,
 )
+from synchrokit import construct, power, structure
 from synchrokit.checks import Auto, _reach_within
 from synchrokit.extremal import check_condition_1, check_condition_4, hypothesis_greedy
-from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block
+from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _si_tables
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
 from oracles import (
@@ -38,6 +43,38 @@ from oracles import (
 
 def scope(n, k, **kw):
     return EnumerationScope(n=n, k=k, **kw)
+
+
+# The golden n=4 scope: every theorem id is applicable, and 29 automata
+# carry a certificate, 24 of them with rank 1.
+N4_RANDOM = dict(mode="random", sample_count=3000, rng_seed=1)
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace ``original`` in every package module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "synchrokit" or name.startswith("synchrokit."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _count_calls(monkeypatch, original):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    _rebind(monkeypatch, original, counting)
+    return calls
+
+
+def _raising(error):
+    def fault(*args, **kwargs):
+        raise error
+
+    return fault
 
 
 def _assert_greedy_matches_oracles(dfa):
@@ -227,6 +264,57 @@ class TestReports:
         for tid, report in reports.items():
             assert report.violation_count == 0, tid
             assert report.checked_count == 729
+
+
+class TestSharedSlowPath:
+    """The certificate is extracted and validated once per automaton, and
+    the pipeline check runs on the kernel's own tables and searches."""
+
+    @pytest.mark.parametrize("fault", ["extraction", "validation", "construction"])
+    def test_pipeline_records_slow_path_faults(self, monkeypatch, fault):
+        if fault == "extraction":
+            original = structure.extract_certificate
+            replacement = _raising(CertificateContradiction("forced"))
+            expected = {"claim": "pipeline", "contradiction": "forced"}
+        elif fault == "validation":
+            original = structure.validate_certificate
+
+            def replacement(*args, **kwargs):
+                report = original(*args, **kwargs)
+                return dataclasses.replace(report, clause_i=False, failures=("forced",))
+
+            expected = {"claim": "pipeline", "error": "certificate does not validate: forced"}
+        else:
+            original = construct._corank3_cases
+            replacement = _raising(ConstructionContradiction("forced"))
+            expected = {"claim": "pipeline", "error": "forced"}
+        _rebind(monkeypatch, original, replacement)
+        reports = run_checks(("lemmaX", "pipeline"), scope(4, 2, **N4_RANDOM))
+        details = [ce["detail"] for ce in reports["pipeline"].counterexamples]
+        assert reports["lemmaX"].violation_count == 24
+        assert details == [expected] * 24
+
+    def test_certificate_extracted_and_validated_once(self, monkeypatch):
+        extracted = _count_calls(monkeypatch, structure.extract_certificate)
+        validated = _count_calls(monkeypatch, structure.validate_certificate)
+        reports = run_checks(THEOREM_IDS, scope(4, 2, **N4_RANDOM))
+        certified = reports["corank2-cert"].applicable_count
+        assert certified == 29
+        assert len(extracted) == len(validated) == certified
+
+    def test_pipeline_check_searches_nothing_twice(self, monkeypatch):
+        _si_tables(4)  # the population's subset-image tables, built once per process
+        counted = (
+            construct.sync_pipeline,
+            power.rank,
+            structure.satisfies_corank2_hypothesis,
+            power.shortest_compressing_word,
+            power.subset_images_for_table,
+        )
+        calls = {f.__name__: _count_calls(monkeypatch, f) for f in counted}
+        report = run_check("pipeline", scope(4, 2))
+        assert report.applicable_count == 51520
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 class TestKernelAgainstPublic:

@@ -1,6 +1,6 @@
 """Sweep reports compared byte for byte with committed expected text.
 
-The expected files in ``tests/golden/`` hold the rendered reports of two
+The expected files in ``tests/golden/`` hold the rendered reports of
 fixed random scopes, one report after another in theorem-id order.  A
 change to the sweep kernel or to anything it calls must leave them
 unchanged.  If a change means to alter a report, regenerate the file
@@ -28,6 +28,15 @@ GOLDEN = {
     "n5_k2_random2000_seed1": (
         EnumerationScope(5, 2, mode="random", sample_count=2000, rng_seed=1),
         ("corank3",) + SWEEP5_IDS,
+    ),
+    # These sizes reach the pair-compression stages of the pipeline.
+    "n6_k2_random3000_seed1": (
+        EnumerationScope(6, 2, mode="random", sample_count=3000, rng_seed=1),
+        ("pipeline",),
+    ),
+    "n5_k3_random3000_seed1": (
+        EnumerationScope(5, 3, mode="random", sample_count=3000, rng_seed=1),
+        ("pipeline",),
     ),
 }
 
