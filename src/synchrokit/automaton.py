@@ -92,9 +92,6 @@ class StateSet:
         return "{%s}" % ",".join(str(q) for q in self)
 
 
-EMPTY_SET = StateSet(0)
-
-
 def default_names(k):
     """Default letter names in file order: a, b, c, ... (then s27, s28, ...)."""
     names = []

@@ -26,8 +26,9 @@ from .errors import (
 )
 from .construct import _corank3_cases, _pipeline, _require_valid
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
-from .power import _bfs, _depth, _rank_search, _size_masks, subset_images_for_table
-from .structure import _anchor_pair, classify_pinlem, extract_certificate, validate_certificate
+from .power import _bfs, _depth, _first_le, _rank_search, _size_masks, subset_images_for_table
+from .structure import (_anchor_pair, _hypothesis_holds, classify_pinlem,
+                        extract_certificate, validate_certificate)
 
 THEOREM_IDS = (
     "corank3",
@@ -88,10 +89,8 @@ class Auto:
     def dist_le(self, m):
         """BFS distance from the full set to size <= m (None if unreachable)."""
         parent = self.forward()[0]
-        for S in parent:
-            if S.bit_count() <= m:
-                return _depth(parent, S)
-        return None
+        hit = _first_le(parent, m)
+        return None if hit is None else _depth(parent, hit)
 
     def backward_within(self, source_mask, steps):
         """Mask of subsets from which some set in source_mask is reachable
@@ -128,9 +127,7 @@ class Auto:
     @property
     def corank2_hypothesis(self):
         """Compression to n-2 possible but not in fewer than 4 steps."""
-        if self.rank > self.n - 2:
-            return False
-        return self.dist_le(self.n - 2) >= 4
+        return _hypothesis_holds(self.forward()[0], self.n)
 
     def greedy_flags(self):
         """(hypothesis, cond1, cond4) of the greedy conditions, memoized;

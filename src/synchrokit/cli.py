@@ -36,6 +36,7 @@ from .extremal import assert_equivalence, build_extremal_dfa, pincor_check
 from .harness import _DEFAULT_BUDGET, THEOREM_IDS, EnumerationScope, run_check
 from .power import (
     _bfs,
+    _first_le,
     _rank_search,
     _steppers,
     _word_to,
@@ -43,12 +44,7 @@ from .power import (
     shortest_compressing_word,
     size_profile,
 )
-from .structure import (
-    classify_pinlem,
-    extract_certificate,
-    satisfies_corank2_hypothesis,
-    validate_certificate,
-)
+from .structure import classify_pinlem, extract_certificate, validate_certificate
 
 
 def _read_dfa(path):
@@ -84,10 +80,7 @@ def cmd_rank(args):
     dfa = _read_dfa(args.file)
     images = _steppers(dfa, range(dfa.k))
     parent, r = _rank_search(images, dfa.n)
-    # The first discovered set of size <= r ends the witness, as it would
-    # end a search stopped there.
-    hit = next(S for S in parent if S.bit_count() <= r)
-    witness = _word_to(images, range(dfa.k), parent, hit)
+    witness = _word_to(images, range(dfa.k), parent, _first_le(parent, r))
     _emit(
         args,
         [f"rank = {r}, witness length = {len(witness)}"],
@@ -157,10 +150,10 @@ def _dot_graph(dfa, word_path):
 def cmd_profile(args):
     dfa = _read_dfa(args.file)
     word = parse_word(dfa, args.word)
-    profile = size_profile(dfa, word)
     if args.dot:
         print(_dot_graph(dfa, word))
         return 0
+    profile = size_profile(dfa, word)
     final = apply_word(dfa, dfa.full_set(), word)
     _emit(
         args,
@@ -182,19 +175,20 @@ def cmd_greedy(args):
     for length in profile.stage_lengths:
         pos += length
         boundaries.append(pos)
+    sizes = list(size_profile(dfa, profile.total))
     _emit(
         args,
         [
             f"total = {format_word(dfa, profile.total)} (length {len(profile.total)})",
             f"stage lengths = {list(profile.stage_lengths)}",
-            f"profile = {list(size_profile(dfa, profile.total))}",
+            f"profile = {sizes}",
         ],
         {
             "word": format_word(dfa, profile.total),
             "length": len(profile.total),
             "stage_lengths": list(profile.stage_lengths),
             "stage_boundaries": boundaries,
-            "profile": list(size_profile(dfa, profile.total)),
+            "profile": sizes,
         },
     )
     return 0
@@ -215,13 +209,13 @@ def cmd_apply(args):
 
 def cmd_structure(args):
     dfa = _read_dfa(args.file)
-    holds = satisfies_corank2_hypothesis(dfa)
-    if not holds:
+    try:
+        cert = extract_certificate(dfa)
+    except HypothesisFailed:
         _emit(args, ["hypothesis does not hold: automaton compresses to size n-2 "
                      "in at most 3 steps, or not at all"],
               {"hypothesis": False, "certificate": None})
         return 1
-    cert = extract_certificate(dfa)
     report = validate_certificate(dfa, cert, exhaustive_iii=args.exhaustive_iii)
     payload = {
         "hypothesis": True,
@@ -255,11 +249,12 @@ def cmd_structure(args):
 
 def cmd_classify(args):
     dfa = _read_dfa(args.file)
-    if not satisfies_corank2_hypothesis(dfa):
+    try:
+        cert = extract_certificate(dfa)
+    except HypothesisFailed:
         raise HypothesisFailed(
             "letter classification requires the corank-2 certificate hypothesis"
-        )
-    cert = extract_certificate(dfa)
+        ) from None
     classification = classify_pinlem(dfa, cert)
     lines = []
     for j, cls in enumerate(classification.classes):

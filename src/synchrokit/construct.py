@@ -20,8 +20,8 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .power import _bfs, _depth, _rank_search, _steppers, _word_to, rank
-from .structure import _View, extract_certificate, validate_certificate
+from .power import _bfs, _first_le, _rank_search, _steppers, _word_to, rank
+from .structure import _View, _hypothesis_holds, extract_certificate, validate_certificate
 
 __all__ = [
     "CaseTag",
@@ -312,8 +312,6 @@ def _franklpin_stage(images, n, R, c, dfa):
     """(word, landing set): the lex-least shortest word taking the set R
     (a mask, |R| <= n-c+1) to size <= n-c, over the per-letter subset-image
     maps ``images``.  ``dfa()`` returns the automaton for a violation's record."""
-    if R.bit_count() <= n - c:
-        return (), R
     bound = c * (c + 1) // 2
     parent, hit = _bfs(images, R, lambda T: T.bit_count() <= n - c)
     word = () if hit is None else _word_to(images, range(len(images)), parent, hit)
@@ -348,7 +346,7 @@ def sync_pipeline(dfa):
     if r != 1:
         raise PreconditionFailed("automaton is not synchronizable")
     cert = None
-    if _depth(parent, next(S for S in parent if S.bit_count() <= n - 2)) >= 4:
+    if _hypothesis_holds(parent, n):
         cert = extract_certificate(dfa)
         _require_valid(validate_certificate(dfa, cert))
     return _pipeline(images, n, parent, cert, lambda: dfa)
@@ -362,10 +360,7 @@ def _pipeline(images, n, parent, cert, dfa):
     if cert is not None:
         u = _corank3_cases(dfa(), cert)[0]
     else:
-        # The first discovered set of size <= n-3 ends the lex-least
-        # shortest prefix, as it would end a search stopped there.
-        hit = next(S for S in parent if S.bit_count() <= n - 3)
-        u = _word_to(images, range(len(images)), parent, hit)
+        u = _word_to(images, range(len(images)), parent, _first_le(parent, n - 3))
     current = (1 << n) - 1
     for s in u:
         current = images[s][current]

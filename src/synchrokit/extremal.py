@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automaton import Dfa, apply_letter, apply_word, default_names
+from .automaton import Dfa, _ImageMap, apply_letter, apply_word, default_names
 from .errors import CertificateContradiction, HypothesisFailed, PreconditionFailed
 from .power import (
     _TABLE_LIMIT,
@@ -27,7 +27,6 @@ from .power import (
     _size_masks,
     _steppers,
     _word_to,
-    shortest_compressing_word,
     subset_image_tables,
 )
 from .structure import _View, extract_certificate
@@ -300,9 +299,9 @@ def _condition_2(dfa, cert):
         for s in range(dfa.k)
         if view.image(view.full, s) == view.full and view.act(1, s) == 2
     ]
-    # Sharpened search order: the certificate's own a first, then letters
-    # fixing 1 and swapping the orbit diagonal, then everything else; the
-    # outcome is order-independent since all of them are tried.
+    # Search order: the certificate's own a first, then letters fixing 1
+    # and swapping the orbit diagonal, then the rest.  ``holds`` tries them
+    # all, so only the reported witness depends on this order.
     def w3_order():
         ranked = [cert.a_letter]
         if len(cert.X) == 4:
@@ -454,9 +453,9 @@ def pincor_check(dfa, cert):
     if n < 4:
         raise PreconditionFailed(f"the pincor check needs n >= 4 states, got {n}")
     b, a, d = cert.b_letter, cert.a_letter, cert.d_letter
-    start = apply_word(dfa, dfa.full_set(), (b, a, d, b))
-    res = shortest_compressing_word(dfa, start, n - 3, max_len=5)
-    if res is not None:
+    start = apply_word(dfa, dfa.full_set(), (b, a, d, b)).mask
+    images = [_ImageMap(table) for table in dfa.letters]
+    if _bfs(images, start, lambda T: T.bit_count() <= n - 3, 5)[1] is not None:
         return True
     word = (b, a, a, a, b, a, a, a, b)
     landed = apply_word(dfa, dfa.full_set(), word)

@@ -145,11 +145,19 @@ def _bfs(images, start_mask, stop=None, max_depth=None):
 
 
 def _rank_search(images, n):
-    """(parent, rank): the search from the full set, stopped at the first
-    singleton.  Sets are discovered in BFS order, so the first discovered
-    set of any size <= m (m >= 1) is never cut off."""
+    """(parent, rank): the search from the full set, stopped at the first singleton."""
     parent, hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() == 1)
     return parent, 1 if hit is not None else min(S.bit_count() for S in parent)
+
+
+def _first_le(parent, m):
+    """The first discovered set of size <= m in ``_bfs`` parent links, or
+    None.  Sets are found in BFS order, so it ends the lex-least shortest
+    word, even in a search run on to a smaller set (the rank search)."""
+    for S in parent:
+        if S.bit_count() <= m:
+            return S
+    return None
 
 
 def _depth(parent, node):
@@ -232,18 +240,17 @@ def greedy_word(dfa, target_corank):
     """
     if target_corank < 1:
         raise ValueError("target corank must be at least 1")
-    current = dfa.full_set()
+    images = _steppers(dfa, range(dfa.k))
+    current = (1 << dfa.n) - 1
     stage_words = []
     total = []
-    while dfa.n - len(current) < target_corank:
-        if len(current) == 1:
+    while dfa.n - current.bit_count() < target_corank:
+        size = current.bit_count()
+        parent, current = _bfs(images, current, lambda T: T.bit_count() < size)
+        if current is None:
             return None
-        stage = shortest_compressing_word(dfa, current, len(current) - 1)
-        if stage is None:
-            return None
-        stage_words.append(stage.word)
-        total.extend(stage.word)
-        current = stage.final_set
+        stage_words.append(_word_to(images, range(dfa.k), parent, current))
+        total.extend(stage_words[-1])
     return GreedyProfile(
         stage_words=tuple(stage_words),
         stage_lengths=tuple(len(word) for word in stage_words),

@@ -5,9 +5,10 @@ in four or more steps, carries a rigid structure: after renumbering, one
 letter ``b`` merges exactly the pair {1,2} and misses state 1, one letter
 ``a`` is a permutation sending 1 to 2, and a third letter ``d`` (possibly
 equal to ``a``) continues the compression.  This module decides the
-hypothesis, extracts the certificate deterministically, validates its
-clauses, and classifies letters into the two shapes every letter of a
-certified automaton must take.
+hypothesis (by one search and one predicate on its parent links),
+extracts the certificate deterministically, validates its clauses, and
+classifies letters into the two shapes every letter of a certified
+automaton must take.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .automaton import _ImageMap
 from .errors import CertificateContradiction, HypothesisFailed, PreconditionFailed
-from .power import _bfs, _depth, _word_to, shortest_compressing_word
+from .power import _bfs, _depth, _first_le, _word_to
 
 __all__ = [
     "StructureCertificate",
@@ -99,12 +100,26 @@ class LetterClassification:
         return not self.unclassified
 
 
+def _hypothesis_search(dfa):
+    """(images, parent, hit): the search from the full set, stopped at its
+    first set of size <= n-2, on per-set images.  Every set it expands has
+    size n or n-1, so these beat building the 2^n-entry subset tables."""
+    n = dfa.n
+    images = [_ImageMap(table) for table in dfa.letters]
+    parent, hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() <= n - 2)
+    return images, parent, hit
+
+
+def _hypothesis_holds(parent, n):
+    """The corank-2 hypothesis on the parent links of a search from the full
+    set: its first set of size <= n-2 exists and is at least 4 letters away."""
+    hit = _first_le(parent, n - 2)
+    return hit is not None and _depth(parent, hit) >= 4
+
+
 def satisfies_corank2_hypothesis(dfa):
     """True when compression to size n-2 is possible but needs >= 4 steps."""
-    if dfa.n < 3:
-        return False
-    res = shortest_compressing_word(dfa, dfa.full_set(), dfa.n - 2)
-    return res is not None and res.length >= 4
+    return _hypothesis_holds(_hypothesis_search(dfa)[1], dfa.n)
 
 
 def renumbered_tables(dfa, renumbering):
@@ -211,12 +226,8 @@ def extract_certificate(dfa):
     be a counterexample to the structure theory, and is recorded as such by
     the verification harness).
     """
-    # Every set expanded before the first one of size <= n-2 has size n or
-    # n-1, so per-set images beat building the 2^n-entry tables.
-    n = dfa.n
-    images = [_ImageMap(table) for table in dfa.letters]
-    parent, hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() <= n - 2)
-    if n < 3 or hit is None or _depth(parent, hit) < 4:
+    images, parent, hit = _hypothesis_search(dfa)
+    if not _hypothesis_holds(parent, dfa.n):
         raise HypothesisFailed(
             "automaton does not compress to size n-2 in 4-or-more-step fashion"
         )
@@ -513,7 +524,6 @@ def pinlem_converse_check(dfa):
     """
     if find_adb1_structure(dfa) is None:
         raise PreconditionFailed("letters do not all match the AD/B1 shapes")
-    if dfa.n < 3:
-        return True
-    res = shortest_compressing_word(dfa, dfa.full_set(), dfa.n - 2, max_len=3)
-    return res is None
+    # Size n-2 is either out of reach or, by the hypothesis, 4+ letters away.
+    _, parent, hit = _hypothesis_search(dfa)
+    return hit is None or _hypothesis_holds(parent, dfa.n)

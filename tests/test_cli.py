@@ -6,6 +6,7 @@ from synchrokit import apply_word, load_dfa, power
 from synchrokit.cli import build_parser, main
 
 from conftest import FIXTURES, fixture_path, load_fixture
+from test_harness import _count_calls
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,16 @@ class TestBasicVerbs:
         assert code == 0
         assert json.loads(out) == {"rank": 1, "witness_length": 16, "witness": "baaaabaaaabaaaab"}
         assert searches == [0b11111]
+
+    @pytest.mark.parametrize("verb", ["structure", "classify"])
+    def test_certificate_verbs_search_once_without_tables(self, capsys, monkeypatch, verb):
+        # Extraction decides the hypothesis itself, on per-set images.
+        power.subset_image_tables.cache_clear()
+        searches = _count_calls(monkeypatch, power._bfs)
+        built = _count_calls(monkeypatch, power.subset_images_for_table)
+        code, _, _ = run_cli(capsys, verb, fixture_path("e5.dfa"))
+        assert code == 0
+        assert (len(searches), len(built)) == (1, 0)
 
     def test_compress_target(self, capsys):
         code, out, _ = run_cli(

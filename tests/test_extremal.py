@@ -104,6 +104,23 @@ class TestConditionChecks:
         report = assert_equivalence(dfa)
         assert (report.witness1, report.witness4) == (word1, word4)
 
+    @pytest.mark.parametrize(
+        "text, witness2",
+        [
+            # The certificate's own a (letter b) is tried first; plain
+            # letter order would report cbac.
+            ("4 3\n1 2 4 3\n3 2 4 1\n2 3 2 4\n", "cbbc"),
+            # Orbit of size 4, own a (letter c) first; letter order: bcab.
+            ("4 3\n1 4 3 2\n2 4 4 1\n3 4 2 1\n", "bccb"),
+        ],
+        ids=["orbit-3", "orbit-4"],
+    )
+    def test_frozen_condition2_witnesses(self, text, witness2):
+        dfa = load_dfa(text)
+        res = check_condition_2(dfa)
+        assert not res.holds and format_word(dfa, res.witness) == witness2
+        assert assert_equivalence(dfa).witness2 == res.witness
+
     def test_condition2_requires_certificate(self):
         # Fast compressor: hypothesis holds but the certificate does not.
         dfa = Dfa.from_tables([(2, 2, 3, 4), (1, 2, 2, 3)])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -8,18 +9,39 @@ from synchrokit import (
     HypothesisFailed,
     PreconditionFailed,
     apply_word,
+    build_extremal_dfa,
     classify_pinlem,
     extract_certificate,
+    greedy_word,
     load_dfa,
     parse_dfa,
+    pincor_check,
     pinlem_converse_check,
     satisfies_corank2_hypothesis,
+    sync_pipeline,
     validate_certificate,
 )
+from synchrokit import construct, power
+from synchrokit.checks import Auto
 from synchrokit.structure import find_adb1_structure
 
-from conftest import A_REPLACED_FIXTURE
-from oracles import random_dfas
+from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES
+from oracles import brute_min_length_to_size, random_dfas
+from test_construct import _cerny
+from test_harness import _count_calls, _raising, _rebind
+
+
+def _hypothesis_population():
+    for n in range(1, 4):
+        rows = list(itertools.product(range(1, n + 1), repeat=n))
+        for tables in itertools.product(rows, repeat=2):
+            yield Dfa.from_tables(tables)
+    for seed, count, n, k in ((41, 3000, 4, 2), (42, 1000, 4, 3), (43, 4000, 5, 2),
+                              (44, 1000, 5, 3), (45, 2000, 6, 2), (46, 500, 6, 3)):
+        yield from random_dfas(seed, count, n, k)
+    yield from (load_dfa(text) for text in CASE_FIXTURES.values())
+    yield from (_cerny(n) for n in range(4, 10))
+    yield from (build_extremal_dfa(n) for n in range(4, 10))
 
 
 class TestHypothesis:
@@ -34,6 +56,60 @@ class TestHypothesis:
         # Two merge letters: size n-2 within two steps.
         dfa = Dfa.from_tables([(2, 2, 3, 4), (1, 3, 3, 4)])
         assert not satisfies_corank2_hypothesis(dfa)
+
+    def test_every_decider_matches_brute_force(self, monkeypatch):
+        # A shortest word to size n-2 passes only distinct sets of size n or
+        # n-1, so n+1 letters bound the enumeration exactly.
+        extracted = _count_calls(monkeypatch, construct.extract_certificate)
+        holds_count = converse_count = pipeline_count = 0
+        for dfa in _hypothesis_population():
+            n = dfa.n
+            dist = brute_min_length_to_size(dfa, dfa.full_set(), n - 2, n + 1)
+            holds = dist is not None and dist >= 4
+            assert satisfies_corank2_hypothesis(dfa) == holds
+            assert Auto(n, dfa.letters).corank2_hypothesis == holds
+            try:
+                extract_certificate(dfa)
+            except HypothesisFailed:
+                assert not holds
+            except CertificateContradiction:
+                assert holds
+            else:
+                assert holds
+            if find_adb1_structure(dfa) is not None:
+                assert pinlem_converse_check(dfa) == (dist is None or dist >= 4)
+                converse_count += 1
+            if n >= 4:
+                extracted.clear()
+                try:
+                    sync_pipeline(dfa)
+                except PreconditionFailed:
+                    pass  # not synchronizing
+                else:
+                    assert bool(extracted) == holds
+                    pipeline_count += holds
+            holds_count += holds
+        assert (holds_count, converse_count, pipeline_count) == (80, 300, 42)
+
+    def test_no_subset_tables_and_no_public_search(self, monkeypatch):
+        # The hypothesis search expands only sets of size n and n-1, and
+        # pincor's search from Q.badb at most five levels: per-set images
+        # serve both, and nothing goes through shortest_compressing_word.
+        power.subset_image_tables.cache_clear()
+        built = _count_calls(monkeypatch, power.subset_images_for_table)
+        _rebind(monkeypatch, power.shortest_compressing_word, _raising(AssertionError("search")))
+        assert satisfies_corank2_hypothesis(_cerny(13))
+        extremal = build_extremal_dfa(13)
+        assert pincor_check(extremal, extract_certificate(extremal))
+        assert built == []
+
+    def test_greedy_and_converse_skip_the_public_search(self, monkeypatch, e5):
+        _rebind(monkeypatch, power.shortest_compressing_word, _raising(AssertionError("search")))
+        assert satisfies_corank2_hypothesis(e5)
+        assert pinlem_converse_check(e5)
+        assert pincor_check(e5, extract_certificate(e5))
+        profiles = [greedy_word(e5, c) for c in range(1, e5.n)]
+        assert [p and p.stage_lengths for p in profiles] == [(1,), (1, 3), (1, 3, 6), None]
 
 
 class TestExtraction:
