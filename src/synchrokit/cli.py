@@ -36,11 +36,9 @@ from .extremal import assert_equivalence, build_extremal_dfa, pincor_check
 from .harness import _DEFAULT_BUDGET, THEOREM_IDS, EnumerationScope, run_check
 from .power import (
     _bfs,
-    _first_le,
-    _rank_search,
     _steppers,
-    _word_to,
     greedy_word,
+    rank,
     shortest_compressing_word,
     size_profile,
 )
@@ -78,9 +76,8 @@ def _parse_state_set(dfa, text):
 
 def cmd_rank(args):
     dfa = _read_dfa(args.file)
-    images = _steppers(dfa, range(dfa.k))
-    parent, r = _rank_search(images, dfa.n)
-    witness = _word_to(images, range(dfa.k), parent, _first_le(parent, r))
+    r = rank(dfa)
+    witness = shortest_compressing_word(dfa, dfa.full_set(), r).word
     _emit(
         args,
         [f"rank = {r}, witness length = {len(witness)}"],

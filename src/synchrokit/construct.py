@@ -20,7 +20,7 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .power import _bfs, _first_le, _rank_search, _steppers, _word_to, rank
+from .power import _bfs, _first_le, _steppers, _word_to, rank
 from .structure import _View, _hypothesis_holds, extract_certificate, validate_certificate
 
 __all__ = [
@@ -335,16 +335,16 @@ def sync_pipeline(dfa):
     The prefix compresses to size n-3 in at most 9 steps -- through the
     certificate construction when the corank-2 hypothesis holds, otherwise
     by direct search -- and each later stage applies the pair-compression
-    bound for c = 4, ..., n-1 in order.  One rank search serves the
-    synchronizability check, the hypothesis and the direct prefix.
+    bound for c = 4, ..., n-1 in order.  One search from the full set, to its
+    first set of size <= n-3, serves the hypothesis and the direct prefix.
     """
     n = dfa.n
     if n < 4:
         raise PreconditionFailed("the pipeline bound requires n >= 4")
-    images = _steppers(dfa, range(dfa.k))
-    parent, r = _rank_search(images, n)
-    if r != 1:
+    if rank(dfa) != 1:
         raise PreconditionFailed("automaton is not synchronizable")
+    images = _steppers(dfa, range(dfa.k))
+    parent, _hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() <= n - 3)
     cert = None
     if _hypothesis_holds(parent, n):
         cert = extract_certificate(dfa)
@@ -353,10 +353,11 @@ def sync_pipeline(dfa):
 
 
 def _pipeline(images, n, parent, cert, dfa):
-    """``sync_pipeline`` on the subset-image maps and rank-search parent links
-    of a synchronizing automaton, n >= 4.  ``cert`` is a valid certificate
-    when the corank-2 hypothesis holds, else None; ``dfa()`` returns the
-    automaton, for the certified prefix and a violation's record."""
+    """``sync_pipeline`` on the subset-image maps of a synchronizing automaton,
+    n >= 4, and the parent links of a search from the full set that reached
+    size n-3.  ``cert`` is a valid certificate when the corank-2 hypothesis
+    holds, else None; ``dfa()`` returns the automaton, for the certified
+    prefix and a violation's record."""
     if cert is not None:
         u = _corank3_cases(dfa(), cert)[0]
     else:

@@ -27,6 +27,7 @@ from .power import (
     _size_masks,
     _steppers,
     _word_to,
+    rank,
     subset_image_tables,
 )
 from .structure import _View, extract_certificate
@@ -447,7 +448,8 @@ def pincor_check(dfa, cert):
 
     Vacuously true when the 5-step compression from Q.badb exists;
     otherwise evaluates |Q.(b a^3 b a^3 b)| = n-3 directly.  Needs n >= 4,
-    so that size n-3 is not empty.
+    so that size n-3 is not empty, and rank <= n-3, which a 5-step hit
+    already proves.
     """
     n = dfa.n
     if n < 4:
@@ -457,6 +459,8 @@ def pincor_check(dfa, cert):
     images = [_ImageMap(table) for table in dfa.letters]
     if _bfs(images, start, lambda T: T.bit_count() <= n - 3, 5)[1] is not None:
         return True
+    if rank(dfa) > n - 3:
+        raise PreconditionFailed("automaton does not compress to size n-3")
     word = (b, a, a, a, b, a, a, a, b)
     landed = apply_word(dfa, dfa.full_set(), word)
     return len(landed) == n - 3

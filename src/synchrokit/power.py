@@ -1,13 +1,14 @@
-"""Breadth-first search over the power automaton.
+"""Breadth-first search over the power automaton, and the rank.
 
 This module is the oracle everything else is checked against: exact
-shortest compressing words, the rank of an automaton (the minimum
-reachable image size), size profiles, and the stage-wise greedy
+shortest compressing words, size profiles, and the stage-wise greedy
 compressor.  It owns the power-automaton primitives the rest of the
 package builds on: the subset-image tables, the per-letter steppers, and
 the one forward search with lexicographically least parent links, which
 the verification sweep's kernel runs too.  All searches run over the
 forward closure of the start set only, never the full subset lattice.
+The rank (the minimum reachable image size) needs no such search: pair
+merging on the pair automaton finds it in polynomial time.
 """
 
 from __future__ import annotations
@@ -212,8 +213,45 @@ def shortest_compressing_word(dfa, start, target_size, allowed_letters=None, max
 
 
 def rank(dfa):
-    """Minimum reachable image size of the full state set; 1 means synchronizable."""
-    return _rank_search(_steppers(dfa, range(dfa.k)), dfa.n)[1]
+    """Minimum reachable image size of the full state set; 1 means synchronizable.
+
+    Greedy pair merging, polynomial in n: while some pair of the image S = Q.w
+    has a merging word, apply it.  Then no word shrinks S, and Q.wv, a subset
+    of Q.v, gives |S| <= |Q.v| for every word v, so |S| is the rank.
+    """
+    n, tables = dfa.n, dfa.letters
+    preimages = [[[] for _ in range(n)] for _ in tables]
+    for pre, table in zip(preimages, tables):
+        for q, image in enumerate(table):
+            pre[image].append(q)
+    # Reverse search over the pair automaton, out of the diagonal: merge[(p, q)],
+    # p < q, is a letter taking {p, q} to a pair found earlier, or to one state.
+    merge = {}
+    frontier = [(r, r) for r in range(n)]
+    while frontier:
+        found = []
+        for p1, q1 in frontier:
+            for j, pre in enumerate(preimages):
+                for p in pre[p1]:
+                    for q in pre[q1]:
+                        pair = (p, q) if p < q else (q, p)
+                        if p != q and pair not in merge:
+                            merge[pair] = j
+                            found.append(pair)
+        frontier = found
+    S = (1 << n) - 1
+    images = [_ImageMap(table) for table in tables]
+    while True:
+        states = [q for q in range(n) if S >> q & 1]
+        pair = next(((p, q) for i, p in enumerate(states) for q in states[i + 1:]
+                     if (p, q) in merge), None)
+        if pair is None:
+            return len(states)
+        p, q = pair
+        while p != q:
+            j = merge[(p, q) if p < q else (q, p)]
+            S = images[j][S]
+            p, q = tables[j][p], tables[j][q]
 
 
 def size_profile(dfa, w, start=None):

@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synchrokit import apply_word, load_dfa, power
 from synchrokit.cli import build_parser, main
 
-from conftest import FIXTURES, fixture_path, load_fixture
+from conftest import A_REPLACED_FIXTURE, FIXTURES, fixture_path, load_fixture
 from test_harness import _count_calls
 
 
@@ -198,6 +200,15 @@ class TestStructureVerbs:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "n >= 4" in err
 
+    def test_pincor_needs_rank_n_minus_3(self, capsys, tmp_path):
+        # Certified, but rank 2 on 4 states: the claim does not cover it.
+        path = tmp_path / "a_replaced.dfa"
+        path.write_text(A_REPLACED_FIXTURE)
+        for output in ([], ["--json"]):
+            code, out, err = run_cli(capsys, "pincor", str(path), *output)
+            assert (code, out) == (1, "")
+            assert err == "error: automaton does not compress to size n-3\n"
+
     def test_extremal_round_trip(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "extremal", "--n", "5")
         assert code == 0
@@ -259,6 +270,35 @@ class TestVerifyVerb:
         assert err.value.code != 0
 
 
+def _every_verb(path, dfa):
+    """One argv per CLI verb, for the automaton ``dfa`` stored at ``path``."""
+    word = dfa.names[-1] + dfa.names[0]
+    n = str(dfa.n)
+    return [
+        ["rank", path], ["compress", path, "--corank", "1"], ["profile", path, word],
+        ["greedy", path, "--corank", "1"], ["apply", path, word], ["structure", path],
+        ["classify", path], ["construct", path], ["extend", path, word, "--corank", "1"],
+        ["pipeline", path], ["greedy-conditions", path], ["extremal", "--n", n],
+        ["pincor", path], ["verify", "corank3", "--n", n, "--samples", "20", "--seed", "1"],
+    ]
+
+
+def _assert_no_traceback(capsys, path, dfa):
+    for argv in _every_verb(path, dfa):
+        for output in ([], ["--json"]):
+            code, _, err = run_cli(capsys, *argv, *output)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+
+
+@st.composite
+def _automata(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=k, max_size=k))
+    return f"{n} {k}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 class TestEveryVerb:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.dfa")))
     def test_no_traceback(self, capsys, name):
@@ -266,22 +306,17 @@ class TestEveryVerb:
         # exit status and never in an uncaught exception.
         path = fixture_path(name)
         dfa = load_fixture(name)
-        word = dfa.names[-1] + dfa.names[0]
-        n = str(dfa.n)
-        verbs = [
-            ["rank", path], ["compress", path, "--corank", "1"], ["profile", path, word],
-            ["greedy", path, "--corank", "1"], ["apply", path, word], ["structure", path],
-            ["classify", path], ["construct", path], ["extend", path, word, "--corank", "1"],
-            ["pipeline", path], ["greedy-conditions", path], ["extremal", "--n", n],
-            ["pincor", path], ["verify", "corank3", "--n", n, "--samples", "20", "--seed", "1"],
-        ]
         parsed = next(a.choices for a in build_parser()._actions if a.dest == "verb")
-        assert sorted(argv[0] for argv in verbs) == sorted(parsed)
-        for argv in verbs:
-            for output in ([], ["--json"]):
-                code, _, err = run_cli(capsys, *argv, *output)
-                assert code in (0, 1, 2), argv
-                assert "Traceback" not in err, argv
+        assert sorted(argv[0] for argv in _every_verb(path, dfa)) == sorted(parsed)
+        _assert_no_traceback(capsys, path, dfa)
+
+    @given(_automata())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_no_traceback_on_generated_automata(self, capsys, tmp_path, text):
+        path = tmp_path / "generated.dfa"
+        path.write_text(text)
+        _assert_no_traceback(capsys, str(path), load_dfa(text))
 
 
 class TestErrors:

@@ -14,6 +14,7 @@ from synchrokit import (
     extract_certificate,
     format_word,
     franklpin_word,
+    greedy_word,
     load_dfa,
     parse_word,
     pin_extension,
@@ -22,11 +23,26 @@ from synchrokit import (
     sync_pipeline,
     validate_certificate,
 )
-from synchrokit import construct
+from synchrokit import construct, power
 from synchrokit.checks import Auto
 
 from conftest import CASE_FIXTURES
 from oracles import random_dfas
+from test_harness import _count_calls, _rebind
+
+
+def _recorded_searches(monkeypatch):
+    """(start, result) of every power._bfs call, wherever it is imported."""
+    searches = []
+    original = power._bfs
+
+    def recording(images, start, *args, **kwargs):
+        result = original(images, start, *args, **kwargs)
+        searches.append((start, result))
+        return result
+
+    _rebind(monkeypatch, original, recording)
+    return searches
 
 
 def _cerny(n):
@@ -204,22 +220,33 @@ class TestSyncPipeline:
         assert len(apply_word(dfa, dfa.full_set(), word)) == 1
 
     def test_one_rank_search(self, monkeypatch):
-        # Rank 1 meets the precondition of the corank-3 prefix and of every
-        # pair-compression stage, so only the pipeline itself searches.
-        searched = []
-        original = construct._rank_search
-
-        def counting(images, n):
-            searched.append(n)
-            return original(images, n)
-
-        monkeypatch.setattr(construct, "_rank_search", counting)
-        monkeypatch.setattr(construct, "rank", None)
+        # The polynomial rank decides synchronizability; the one search from
+        # the full set stops at its first set of size <= n-3, which serves
+        # the hypothesis and the direct prefix (certificate extraction runs
+        # its own).  The corank-3 prefix and the pair-compression stages skip
+        # their compressibility checks.
+        ranked = _count_calls(monkeypatch, construct.rank)
+        exact = _count_calls(monkeypatch, power._rank_search)
+        searches = _recorded_searches(monkeypatch)
         n = 10
         cerny = _cerny(n)
+        full = (1 << n) - 1
         word = sync_pipeline(cerny)
         assert len(apply_word(cerny, cerny.full_set(), word)) == 1
-        assert searched == [n]
+        assert (len(ranked), len(exact)) == (1, 0)
+        start, (parent, hit) = searches[0]
+        assert start == full and hit.bit_count() == n - 3 and list(parent)[-1] == hit
+
+    def test_preconditions_search_nothing_from_the_full_set(self, monkeypatch):
+        n = 10
+        cerny = _cerny(n)
+        cert = extract_certificate(cerny)
+        w = greedy_word(cerny, 4).total
+        searches = _recorded_searches(monkeypatch)
+        corank3_word(cerny, cert)
+        pin_extension(cerny, w, 5)
+        franklpin_word(cerny, apply_word(cerny, cerny.full_set(), w), 5)
+        assert searches and (1 << n) - 1 not in [start for start, _ in searches]
 
     def test_core_on_sweep_data_matches_public_word(self):
         # The sweep runs the pipeline core on an Auto's tables, rank-search

@@ -22,6 +22,7 @@ from synchrokit import (
 from synchrokit import extremal
 from synchrokit.extremal import classify_greedy_letter
 
+from conftest import A_REPLACED_FIXTURE
 from oracles import (
     brute_condition_1,
     brute_condition_4,
@@ -248,6 +249,13 @@ class TestPincor:
     def test_c3_needs_four_states(self, c3):
         with pytest.raises(PreconditionFailed, match="n >= 4"):
             pincor_check(c3, extract_certificate(c3))
+
+    def test_rank_above_n_minus_3_is_a_precondition_error(self):
+        # Certified with rank 2 on 4 states: the 5-step search misses, and
+        # the fallback claim does not cover the automaton.
+        dfa = load_dfa(A_REPLACED_FIXTURE)
+        with pytest.raises(PreconditionFailed, match="does not compress to size n-3"):
+            pincor_check(dfa, extract_certificate(dfa))
 
     def test_c5_vacuous(self, c5):
         cert = extract_certificate(c5)

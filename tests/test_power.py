@@ -1,12 +1,16 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synchrokit import (
+    Dfa,
     StateSet,
     apply_word,
+    build_extremal_dfa,
     format_word,
     greedy_word,
     parse_word,
@@ -14,8 +18,24 @@ from synchrokit import (
     shortest_compressing_word,
     size_profile,
 )
+from synchrokit import power
 
-from oracles import brute_min_length_to_size, no_shorter_word, random_dfas
+from oracles import brute_closure, brute_min_length_to_size, no_shorter_word, random_dfas
+from test_construct import _cerny
+from test_harness import _count_calls
+
+
+def _every_dfa(n, k):
+    tables = list(itertools.product(range(1, n + 1), repeat=n))
+    return [Dfa.from_tables(list(letters)) for letters in itertools.product(tables, repeat=k)]
+
+
+def _search_rank(dfa):
+    return power._rank_search(power._steppers(dfa, range(dfa.k)), dfa.n)[1]
+
+
+def _brute_rank(dfa):
+    return min(len(S) for S in brute_closure(dfa, dfa.full_set())[1])
 
 
 class TestShortestCompressingWord:
@@ -107,6 +127,47 @@ class TestRank:
         assert rank(e5) == 2
         assert rank(c3) == 1
         assert rank(c5) == 1
+
+    def test_pair_merging_matches_the_searches(self):
+        # Every automaton with n <= 4, k = 2 and n <= 3, k = 3, seeded random
+        # ones with n = 5..9, k = 1..3, Cerny C3..C15 and the extremal family.
+        # The exact forward search covers all of them; word enumeration
+        # (brute_closure) is affordable on the smallest automata, a stride of
+        # the exhaustive populations, the one-letter ones and C3, C4.
+        exhaustive = [d for n in range(1, 5) for d in _every_dfa(n, 2)]
+        exhaustive += [d for n in range(1, 4) for d in _every_dfa(n, 3)]
+        randoms = [
+            d for n in range(5, 10) for k in (1, 2, 3) for d in random_dfas(8000 + 10 * n + k, 200, n, k)
+        ]
+        cerny = [_cerny(n) for n in range(3, 16)]
+        extremal = [build_extremal_dfa(n, e) for n in range(4, 14) for e in (True, False)]
+        for dfa in exhaustive + randoms + cerny + extremal:
+            assert rank(dfa) == _search_rank(dfa), dfa
+        brute = [d for d in exhaustive if d.n ** d.k <= 9] + exhaustive[::397]
+        brute += [d for d in randoms if d.k == 1] + cerny[:2]
+        for dfa in brute:
+            assert rank(dfa) == _brute_rank(dfa), dfa
+        assert {rank(d) for d in cerny} == {1}
+        assert [rank(d) for d in extremal] == [d.n - 3 for d in extremal]
+        assert {rank(d) for d in randoms} >= set(range(1, 9))
+
+    def test_64_states(self):
+        # Cerny C64 synchronizes; two disjoint 32-state Cerny blocks keep one
+        # state each.  Both are far past any search over subsets.
+        blocks = [[q % 32 + 1 + base for q in range(1, 33)] for base in (0, 32)]
+        merges = [[2 + base] + list(range(2 + base, 33 + base)) for base in (0, 32)]
+        twin = Dfa.from_tables([sum(blocks, []), sum(merges, [])])
+        for dfa, expected in ((_cerny(64), 1), (twin, 2)):
+            start = time.perf_counter()
+            assert rank(dfa) == expected
+            assert time.perf_counter() - start < 1.0
+
+    def test_rank_runs_no_search(self, monkeypatch):
+        power.subset_image_tables.cache_clear()
+        searches = _count_calls(monkeypatch, power._bfs)
+        built = _count_calls(monkeypatch, power.subset_images_for_table)
+        assert rank(_cerny(15)) == 1
+        assert (len(searches), len(built)) == (0, 0)
 
     def test_rank_lower_bounds_random_words(self, e5):
         rng = random.Random(4)
