@@ -92,35 +92,41 @@ class Auto:
         hit = _first_le(parent, m)
         return None if hit is None else _depth(parent, hit)
 
-    def backward_within(self, source_mask, steps):
-        """Mask of subsets from which some set in source_mask is reachable
-        within the given number of steps."""
-        imgs = self.imgs
-        nsub = 1 << self.n
-        B = source_mask
-        for _ in range(steps):
-            nb = B
-            for S in range(nsub):
-                if not (nb >> S) & 1:
-                    for img in imgs:
-                        if (B >> img[S]) & 1:
-                            nb |= 1 << S
-                            break
-            if nb == B:
+    def backward_within(self, size, steps):
+        """Mask of the sets of ``size`` states that some word of at most
+        ``steps`` >= 1 letters takes to a smaller set: a backward search over
+        the sets of ``size`` states alone, since images never grow."""
+        rest = _size_masks(self.n)[0][size]
+        done = 0
+        sources = {}  # layer set -> mask of the layer sets one letter takes to it
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            S = low.bit_length() - 1
+            for img in self.imgs:
+                T = img[S]
+                if T.bit_count() < size:
+                    done |= low
+                    break
+                sources[T] = sources.get(T, 0) | low
+        frontier = done
+        for _ in range(steps - 1):
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= sources.get(low.bit_length() - 1, 0)
+            frontier = grown & ~done
+            if not frontier:
                 break
-            B = nb
-        return B
+            done |= frontier
+        return done
 
     def bfs_stage(self, start_mask, target_size):
         """(length, endpoint) of the lex-least shortest word from start_mask
         to size <= target_size, or None."""
         parent, hit = _bfs(self.imgs, start_mask, lambda T: T.bit_count() <= target_size)
         return None if hit is None else (_depth(parent, hit), hit)
-
-    # -- masks over subset indices ---------------------------------------
-
-    def size_le_mask(self, size):
-        return _size_masks(self.n)[1][size]
 
     # -- hypotheses -------------------------------------------------------
 
@@ -193,13 +199,9 @@ def check_franklpin(auto, stats):
     if auto.rank > n - 1:
         return False, None
     for c in range(1, n - auto.rank + 1):
-        if c > n - 1:
-            break
         bound = c * (c + 1) // 2
-        sources = auto.size_le_mask(n - c)
-        small = auto.size_le_mask(n - c + 1)
-        within = auto.backward_within(sources, bound)
-        missing = small & ~within
+        layer = _size_masks(n)[0][n - c + 1]
+        missing = layer & ~auto.backward_within(n - c + 1, bound)
         if missing:
             R = (missing & -missing).bit_length() - 1
             return True, {
@@ -370,8 +372,11 @@ def _reach_within(auto, start_mask, steps, cache):
     return got
 
 
-def check_pin(auto, stats, max_word_len=6):
-    """Extension-bound check over all words up to the scope length.
+_PIN_WORD_LEN = 6
+
+
+def check_pin(auto, stats):
+    """Extension-bound check over all words of up to ``_PIN_WORD_LEN`` letters.
 
     Words are walked as a prefix tree deduplicated on the induced state
     function: words acting identically have identical continuations, so a
@@ -381,8 +386,6 @@ def check_pin(auto, stats, max_word_len=6):
     if auto.rank > n - 1:
         return False, None
     feasible = [c for c in range(1, n) if auto.rank <= n - c]
-    if not feasible:
-        return False, None
     identity = tuple(range(n))
     seen = {identity}
     frontier = [(identity, ())]
@@ -417,7 +420,7 @@ def check_pin(auto, stats, max_word_len=6):
                         "start_size": a_size,
                     }
         depth += 1
-        if depth > max_word_len:
+        if depth > _PIN_WORD_LEN:
             break
         nxt = []
         for func, word in frontier:

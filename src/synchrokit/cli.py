@@ -354,7 +354,6 @@ def cmd_verify(args):
         mode=mode,
         sample_count=args.samples,
         rng_seed=args.seed if mode == "random" else None,
-        max_word_len=args.max_word_len,
         include_c4=args.include_c4,
         work_budget=args.budget,
     )
@@ -453,8 +452,6 @@ def build_parser():
     p.add_argument("--samples", type=int, help="random mode with this many draws")
     p.add_argument("--seed", type=int, help="seed for random mode")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-word-len", type=int, default=6,
-                   help="word-length cap for the extension-bound sweep")
     p.add_argument("--include-c4", action="store_true",
                    help="corank3 only: also hunt for corank-4 counterexamples "
                         "(long-running opt-in job; hits are findings, not bugs)")

@@ -24,10 +24,13 @@ class PreconditionFailed(SynchroError):
 
 
 class CertificateContradiction(SynchroError):
-    """Certificate extraction hit a state that the structure theory rules out.
+    """Certificate extraction could not derive a role the structure theory
+    guarantees (the b letter's merged pair, the state relabelled 3, or q).
 
-    This is a first-class outcome, not a crash: the verification harness
-    records it as a would-be counterexample instead of suppressing it.
+    Clause failures of a derived certificate are reported by
+    validate_certificate, not raised.  This is a first-class outcome, not a
+    crash: the verification harness records it as a would-be counterexample
+    instead of suppressing it.
     """
 
     def __init__(self, message, detail=None):

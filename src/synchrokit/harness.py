@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .automaton import MAX_STATES, Dfa
-from .checks import CHECKS, THEOREM_IDS, Auto, check_corank3, check_pin
+from .checks import CHECKS, THEOREM_IDS, Auto, check_corank3
 from .power import _TABLE_LIMIT, subset_images_for_table
 from .errors import BudgetExceeded
 
@@ -45,7 +45,6 @@ class EnumerationScope:
     mode: str = "exhaustive"
     sample_count: int | None = None
     rng_seed: int | None = None
-    max_word_len: int = 6
     include_c4: bool = False
     work_budget: int = _DEFAULT_BUDGET
 
@@ -62,8 +61,6 @@ class EnumerationScope:
                 raise ValueError("random mode needs sample_count >= 1")
             if self.rng_seed is None:
                 raise ValueError("random mode needs an explicit rng_seed")
-        if self.max_word_len < 0:
-            raise ValueError("max_word_len must be non-negative")
 
     @property
     def total(self):
@@ -76,8 +73,6 @@ class EnumerationScope:
         if self.mode == "random":
             out["samples"] = self.sample_count
             out["seed"] = self.rng_seed
-        if self.max_word_len != 6:
-            out["max_word_len"] = self.max_word_len
         if self.include_c4:
             out["include_c4"] = True
         return out
@@ -206,14 +201,9 @@ def _iter_block(scope, block_start, block_end):
 
 def _run_block(args):
     scope, theorem_ids, block_start, block_end = args
-    checks = {}
-    for tid in theorem_ids:
-        if tid == "pin":
-            checks[tid] = partial(check_pin, max_word_len=scope.max_word_len)
-        elif tid == "corank3" and scope.include_c4:
-            checks[tid] = partial(check_corank3, include_c4=True)
-        else:
-            checks[tid] = CHECKS[tid]
+    checks = {tid: CHECKS[tid] for tid in theorem_ids}
+    if "corank3" in checks and scope.include_c4:
+        checks["corank3"] = partial(check_corank3, include_c4=True)
     counts = {tid: [0, 0] for tid in theorem_ids}  # checked, applicable
     violations = {tid: [] for tid in theorem_ids}
     stats = {tid: {} for tid in theorem_ids}

@@ -221,10 +221,14 @@ def extract_certificate(dfa):
     ``d = w3``), and pins the renumbering: the state missing from the image
     of ``b`` becomes 1 and its merge partner becomes 2, remaining states
     keeping relative order; in the X_EQ_2 case state 3 is re-chosen so that
-    3d = 2.  Raises HypothesisFailed when the hypothesis does not hold and
-    CertificateContradiction when the derived structure breaks (which would
-    be a counterexample to the structure theory, and is recorded as such by
-    the verification harness).
+    3d = 2.  Extraction only derives the roles; it checks no clause, so the
+    certificate is to be checked with ``validate_certificate``.  Raises
+    HypothesisFailed when the hypothesis does not hold and
+    CertificateContradiction only when a role cannot be derived: ``b`` does
+    not merge exactly one pair containing its missing state, no unique
+    outside state is sent to 2 by ``d``, or Q.bad does not miss exactly one
+    state (each would be a counterexample to the structure theory, and is
+    recorded as such by the verification harness).
     """
     images, parent, hit = _hypothesis_search(dfa)
     if not _hypothesis_holds(parent, dfa.n):
@@ -234,9 +238,8 @@ def extract_certificate(dfa):
     w = _word_to(images, range(dfa.k), parent, hit)
     b = w[0]
 
-    def contradiction(msg, **detail):
-        detail.setdefault("word", w)
-        return CertificateContradiction(f"certificate extraction: {msg}", detail)
+    def contradiction(msg):
+        return CertificateContradiction(f"certificate extraction: {msg}", {"word": w})
 
     pm = _merged_pair(dfa.letters[b])
     if pm is None:
@@ -250,35 +253,16 @@ def extract_certificate(dfa):
 
     a = w[1]
     a_replaced = False
-
-    def check_clause_ii(letter):
-        qb = view.image(view.full, b)
-        if view.image(qb, letter) != view.without(2):
-            raise contradiction("clause (ii): Q.ba is not Q minus {2}", a=letter)
-        if view.image(view.full, letter) != view.full:
-            raise contradiction("clause (ii): Q.a is not Q", a=letter)
-        if view.act(1, letter) != 2:
-            raise contradiction("clause (ii): 1a is not 2", a=letter)
-
-    check_clause_ii(a)
-    X = view.orbit(1, a)
     d = a
-    if len(X) < 3:
+    if len(view.orbit(1, a)) < 3:
         d = w[2]
-        table_d = view.tables[d]
         hits_one = [r for r in range(3, dfa.n + 1) if view.act(r, d) == 1]
         if hits_one:
             # The third letter maps some outside state onto 1; it can take
             # over the a role, which forces the orbit of 1 to grow past 2.
             a = d
             a_replaced = True
-            check_clause_ii(a)
-            X = view.orbit(1, a)
-            if len(X) < 3:
-                raise contradiction("replacement letter still has a two-state orbit")
         else:
-            if view.act(1, d) != 1:
-                raise contradiction("clause (iv): d does not fix state 1")
             hits_two = [r for r in range(3, dfa.n + 1) if view.act(r, d) == 2]
             if len(hits_two) != 1:
                 raise contradiction("clause (iv): no unique outside state mapping to 2 under d")
@@ -286,8 +270,7 @@ def extract_certificate(dfa):
             if r != 3:
                 renumbering = _swap_labels(renumbering, 3, r)
                 view = _View(dfa, renumbering)
-            if view.image(view.full, d) != view.full:
-                raise contradiction("clause (iv): Q.d is not Q")
+    X = view.orbit(1, a)
 
     if len(X) >= 3:
         case_tag = "X_GE_3"
@@ -299,16 +282,6 @@ def extract_certificate(dfa):
         if missing_mask.bit_count() != 1:
             raise contradiction("clause (iv): Q.bad does not miss exactly one state")
         q = missing_mask.bit_length()
-
-    if q in (1, 2):
-        raise contradiction("clause (iv): q lies in {1,2}", q=q)
-    if view.word_image(view.full, (b, a, d)) != view.without(q):
-        raise contradiction("clause (iv): Q.bad is not Q minus {q}", q=q)
-    qb_state = view.act(q, b)
-    if qb_state == 1:
-        raise contradiction("clause (iv): qb equals 1", q=q)
-    if view.word_image(view.full, (b, a, d, b)) != view.without(1, qb_state):
-        raise contradiction("clause (iv): Q.badb is not Q minus {1, qb}", q=q)
 
     return StructureCertificate(
         renumbering=renumbering,

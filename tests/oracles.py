@@ -48,11 +48,15 @@ def brute_reach_within(dfa, start, steps):
 def brute_closure(dfa, start):
     """(depth, images): the least depth such that every image of ``start``
     under any word is an image under a word of at most that length, and
-    those images.  Once one more letter adds no image, none ever does."""
+    those images.  Once one more letter adds no image, none ever does.
+    Each depth extends the image of every word of the previous length by
+    one letter, keeping one image per word even where words act alike."""
     depth = 0
     images = {start}
+    layer = [start]
     while True:
-        wider = brute_reach_within(dfa, start, depth + 1)
+        layer = [apply_word(dfa, image, (s,)) for image in layer for s in range(dfa.k)]
+        wider = images.union(layer)
         if wider == images:
             return depth, images
         depth, images = depth + 1, wider
@@ -71,7 +75,9 @@ def qualifying_words(dfa, limit=9):
     """All words of length <= limit whose full-set image has size exactly n-3.
 
     Prunes branches whose image already dropped below n-3 (sizes never
-    grow back).
+    grow back).  Every word is still walked; only the image of a set
+    under one letter is remembered, since many words pass through the
+    same set.
     """
     n = dfa.n
     target = n - 3
@@ -79,6 +85,7 @@ def qualifying_words(dfa, limit=9):
     if target < 1:
         return out
     full = dfa.full_set()
+    step = {}
 
     def walk(word, current):
         size = len(current)
@@ -88,8 +95,10 @@ def qualifying_words(dfa, limit=9):
             out.append(tuple(word))
         if len(word) == limit:
             return
-        for j in range(dfa.k):
-            walk(word + [j], apply_word(dfa, current, (j,)))
+        if current.mask not in step:
+            step[current.mask] = [apply_word(dfa, current, (j,)) for j in range(dfa.k)]
+        for j, image in enumerate(step[current.mask]):
+            walk(word + [j], image)
 
     walk([], full)
     return out

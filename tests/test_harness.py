@@ -15,6 +15,7 @@ from synchrokit import (
     StateSet,
     apply_word,
     enumerate_dfas,
+    load_dfa,
     random_dfa,
     rank,
     run_check,
@@ -23,11 +24,12 @@ from synchrokit import (
     shortest_compressing_word,
 )
 from synchrokit import construct, power, structure
-from synchrokit.checks import Auto, _reach_within
+from synchrokit.checks import CHECKS, Auto, _reach_within
 from synchrokit.extremal import check_condition_1, check_condition_4, hypothesis_greedy
 from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _si_tables
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
+from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES
 from oracles import (
     adb1_pairs,
     brute_closure,
@@ -266,6 +268,52 @@ class TestReports:
             assert report.checked_count == 729
 
 
+def _relabelled(tables, perm):
+    """0-based tables with every state q renamed perm[q]."""
+    out = []
+    for table in tables:
+        row = [0] * len(perm)
+        for q, image in enumerate(table):
+            row[perm[q]] = perm[image]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _check_outcomes(n, tables):
+    """(applicable, violation found, stats) of every check on one automaton."""
+    auto = Auto(n, tables)
+    outcomes = []
+    for tid in THEOREM_IDS:
+        stats = {}
+        applicable, detail = CHECKS[tid](auto, stats)
+        outcomes.append((applicable, detail is not None, stats))
+    return outcomes
+
+
+class TestRelabelling:
+    def test_checks_ignore_state_names(self):
+        # Renumbering the states changes no check's decision or stats (the
+        # premise of sweeping one automaton per isomorphism class).  The
+        # fixtures add the X_EQ_2 and a-replacement certificates.
+        rng = random.Random(11)
+        population = [
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
+            for n, k, count in ((4, 2, 4000), (5, 2, 2500), (4, 3, 1000))
+            for _ in range(count)
+        ]
+        for text in (*CASE_FIXTURES.values(), A_REPLACED_FIXTURE):
+            population += [load_dfa(text).letters] * 5
+        certified = 0
+        for tables in population:
+            n = len(tables[0])
+            perm = list(range(n))
+            rng.shuffle(perm)
+            outcomes = _check_outcomes(n, tables)
+            assert _check_outcomes(n, _relabelled(tables, perm)) == outcomes, (tables, perm)
+            certified += outcomes[THEOREM_IDS.index("corank2-cert")][0]
+        assert certified >= 1
+
+
 class TestSharedSlowPath:
     """The certificate is extracted and validated once per automaton, and
     the pipeline check runs on the kernel's own tables and searches."""
@@ -417,6 +465,28 @@ class TestKernelAgainstPublic:
                     if res is None or res.length > bound:
                         worst_ok = False
             assert (detail is None) == worst_ok
+
+    def test_backward_within_matches_brute_force(self):
+        # Every set of every size, against the least length of a word that
+        # shrinks it, found by enumerating all words of up to 6 letters.
+        from synchrokit import StateSet
+
+        population = [d for n in (3, 4, 5) for d in random_dfas(93 + n, 40, n, 2)]
+        population += random_dfas(97, 30, 4, 3) + random_dfas(98, 20, 5, 1)
+        some_missing = False
+        for dfa in population:
+            auto = Auto(dfa.n, dfa.letters)
+            for size in range(1, dfa.n + 1):
+                least = {}
+                for states in itertools.combinations(range(1, dfa.n + 1), size):
+                    subset = StateSet.from_states(states)
+                    length = brute_min_length_to_size(dfa, subset, size - 1, 6)
+                    least[subset.mask] = 7 if length is None else length
+                for steps in range(1, 7):
+                    expected = sum(1 << S for S, length in least.items() if length <= steps)
+                    assert auto.backward_within(size, steps) == expected, (dfa, size, steps)
+                    some_missing |= expected != sum(1 << S for S in least)
+        assert some_missing
 
 
 def _subsets_up_to(n, max_size):

@@ -25,7 +25,7 @@ from synchrokit import construct, power
 from synchrokit.checks import Auto
 from synchrokit.structure import find_adb1_structure
 
-from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES
+from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES, load_fixture
 from oracles import brute_min_length_to_size, random_dfas
 from test_construct import _cerny
 from test_harness import _count_calls, _raising, _rebind
@@ -166,6 +166,35 @@ class TestExtraction:
         assert validate_certificate(dfa, cert, exhaustive_iii=True).all_pass
 
 
+# One tampered automaton row or certificate field per clause condition that
+# only validate_certificate checks, on fixtures whose certificate keeps the
+# identity numbering: (condition, fixture, replaced rows, certificate
+# changes, the other failures).  The clauses are linked, so most conditions
+# cannot fail alone; each case pins every failure it causes.
+_TAMPERS = {
+    "Q.ba": ("clause (ii): Q.ba != Q \\ {2}", "c5", {"b": "2 2 1 4 5"}, {"q": 5},
+             ("clause (i): Q.b != Q \\ {1}", "clause (iv): Q.badb != Q \\ {1, qb}")),
+    "Q.a": ("clause (ii): Q.a != Q", "CASE_II", {"a": "2 2 3 1"}, {"q": 3},
+            ("clause (ii): Q.ba != Q \\ {2}",)),
+    "1a": ("clause (ii): 1a != 2", "CASE_II", {"a": "1 1 3 4"}, {},
+           ("clause (ii): Q.a != Q", "clause (iv): X is not the orbit of 1 under a")),
+    # d = a with the orbit {1,2}: an a-replacement that left X at two states.
+    "replaced-orbit": ("clause (iv): 1d != 1", "CASE_II", {}, {"d_letter": 0},
+                       ("clause (iv): Q.bad != Q \\ {q}", "clause (iv): Q.badb != Q \\ {1, qb}",
+                        "clause (iv): 3d != 2")),
+    "1d": ("clause (iv): 1d != 1", "CASE_II", {"d": "3 4 2 1"}, {}, ()),
+    "Q.d": ("clause (iv): Q.d != Q", "CASE_II", {"d": "1 1 2 3"}, {}, ()),
+    "q": ("clause (iv): q in {1,2}", "c4", {}, {"q": 1},
+          ("clause (iv): Q.bad != Q \\ {q}", "clause (iv): Q.badb != Q \\ {1, qb}")),
+    "Q.bad": ("clause (iv): Q.bad != Q \\ {q}", "c4", {}, {"q": 4},
+              ("clause (iv): Q.badb != Q \\ {1, qb}",)),
+    "qb": ("clause (iv): qb == 1", "e5", {"b": "2 2 3 4 1"}, {"q": 5},
+           ("clause (i): Q.b != Q \\ {1}", "clause (ii): Q.ba != Q \\ {2}")),
+    "Q.badb": ("clause (iv): Q.badb != Q \\ {1, qb}", "c3", {"b": "3 2 3"}, {},
+               ("clause (i): 1b != 2b", "clause (iii): letter 1 merges (1, 3), not {1,2}")),
+}
+
+
 class TestValidation:
     def test_all_clauses_pass(self, c4, e5):
         for dfa in (c4, e5):
@@ -178,6 +207,26 @@ class TestValidation:
         report = validate_certificate(c4, cert)
         assert report.clause_i and report.clause_ii and report.clause_iii
         assert not report.clause_iv
+
+    @pytest.mark.parametrize("condition, base, rows, changes, others",
+                             list(_TAMPERS.values()), ids=list(_TAMPERS))
+    def test_tampered_condition_fails_its_clause(self, condition, base, rows, changes, others):
+        if base in CASE_FIXTURES:
+            dfa = load_dfa(CASE_FIXTURES[base])
+        else:
+            dfa = load_fixture(f"{base}.dfa")
+        cert = extract_certificate(dfa)
+        assert validate_certificate(dfa, cert).all_pass
+        tables = [tuple(x + 1 for x in t) for t in dfa.letters]
+        for name, row in rows.items():
+            tables[dfa.letter_index(name)] = tuple(int(x) for x in row.split())
+        tampered = Dfa.from_tables(tables, dfa.names)
+        report = validate_certificate(tampered, dataclasses.replace(cert, **changes))
+        assert sorted(report.failures) == sorted((condition, *others))
+        clauses = zip(("i", "ii", "iii", "iv"), (report.clause_i, report.clause_ii,
+                                                 report.clause_iii, report.clause_iv))
+        for num, ok in clauses:
+            assert ok == (not any(f.startswith(f"clause ({num}):") for f in report.failures))
 
     def test_tampered_renumbering_rejected(self, c4):
         cert = dataclasses.replace(extract_certificate(c4), renumbering=(1, 1, 3, 4))
