@@ -30,20 +30,6 @@ from .power import _bfs, _depth, _first_le, _rank_search, _size_masks, subset_im
 from .structure import (_anchor_pair, _hypothesis_holds, classify_pinlem,
                         extract_certificate, validate_certificate)
 
-THEOREM_IDS = (
-    "corank3",
-    "pin",
-    "franklpin",
-    "corank2-cert",
-    "lemmaX",
-    "greedy-equiv",
-    "pinlem",
-    "pinlem-converse",
-    "pincor",
-    "pipeline",
-    "greedy-stages",
-)
-
 
 class Auto:
     """Lazy per-automaton analysis shared across the theorem checks."""
@@ -152,8 +138,7 @@ class Auto:
         return self._dfa
 
     def certificate(self):
-        """(certificate, report, error): extraction and validation (with the
-        quantified clause (iii) at n <= 12), memoized.
+        """(certificate, report, error): extraction and validation, memoized.
 
         Only called when corank2_hypothesis holds; a contradiction is
         returned, not raised, so sweeps can record it.
@@ -164,7 +149,7 @@ class Auto:
             except CertificateContradiction as e:
                 self._cert = (None, None, e)
             else:
-                report = validate_certificate(self.dfa(), cert, exhaustive_iii=self.n <= 12)
+                report = validate_certificate(self.dfa(), cert)
                 self._cert = (cert, report, None)
         return self._cert
 
@@ -337,7 +322,6 @@ def check_pincor(auto, stats):
         return True, {"claim": "pincor", "contradiction": str(err)}
     if not pincor_check(auto.dfa(), cert):
         return True, {"claim": "pincor"}
-    stats["checked"] = stats.get("checked", 0) + 1
     return True, None
 
 
@@ -448,3 +432,6 @@ CHECKS = {
     "pipeline": check_pipeline,
     "greedy-stages": check_greedy_stages,
 }
+
+# The theorem ids, in report order.
+THEOREM_IDS = tuple(CHECKS)

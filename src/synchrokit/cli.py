@@ -213,7 +213,7 @@ def cmd_structure(args):
                      "in at most 3 steps, or not at all"],
               {"hypothesis": False, "certificate": None})
         return 1
-    report = validate_certificate(dfa, cert, exhaustive_iii=args.exhaustive_iii)
+    report = validate_certificate(dfa, cert)
     payload = {
         "hypothesis": True,
         "certificate": cert.to_json(dfa),
@@ -223,7 +223,6 @@ def cmd_structure(args):
             "iii": report.clause_iii,
             "iv": report.clause_iv,
         },
-        "exhaustive_iii": report.exhaustive_iii,
         "failures": list(report.failures),
     }
     lines = [
@@ -353,7 +352,7 @@ def cmd_verify(args):
         k=args.k,
         mode=mode,
         sample_count=args.samples,
-        rng_seed=args.seed if mode == "random" else None,
+        rng_seed=args.seed,
         include_c4=args.include_c4,
         work_budget=args.budget,
     )
@@ -416,8 +415,6 @@ def build_parser():
 
     p = add("structure", cmd_structure, help="corank-2 certificate extraction and validation")
     p.add_argument("file")
-    p.add_argument("--exhaustive-iii", action="store_true",
-                   help="check clause (iii) over every subset (n <= 12)")
 
     p = add("classify", cmd_classify, help="letter classes under the certificate")
     p.add_argument("file")

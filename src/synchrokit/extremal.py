@@ -30,7 +30,7 @@ from .power import (
     rank,
     subset_image_tables,
 )
-from .structure import _View, extract_certificate
+from .structure import _adb1_shape, extract_certificate
 
 __all__ = [
     "GreedyConditionReport",
@@ -289,33 +289,26 @@ def _condition_2(dfa, cert):
     if cert is None:
         return Condition2Result(False, None, None)
     n = dfa.n
-    view = _View(dfa, cert.renumbering)
-    b_candidates = [
-        s
-        for s in range(dfa.k)
-        if view.image(view.full, s) == view.without(1) and view.act(1, s) == view.act(2, s)
-    ]
-    a_candidates = [
-        s
-        for s in range(dfa.k)
-        if view.image(view.full, s) == view.full and view.act(1, s) == 2
-    ]
+    u, v = cert.renumbering.index(1), cert.renumbering.index(2)
+    shapes = [_adb1_shape(table, u, v) for table in dfa.letters]
+    b_candidates = [s for s in range(dfa.k) if shapes[s] == "B1"]
+    a_candidates = [s for s in range(dfa.k) if shapes[s] == "AD" and dfa.letters[s][u] == v]
     # Search order: the certificate's own a first, then letters fixing 1
     # and swapping the orbit diagonal, then the rest.  ``holds`` tries them
     # all, so only the reported witness depends on this order.
     def w3_order():
         ranked = [cert.a_letter]
         if len(cert.X) == 4:
-            x = cert.X
-            for s in range(dfa.k):
+            x = [cert.renumbering.index(label) for label in cert.X]
+            for s, t in enumerate(dfa.letters):
                 if s in ranked:
                     continue
                 if (
-                    view.image(view.full, s) == view.full
-                    and view.act(1, s) == 1
-                    and view.act(x[1], s) == x[3]
-                    and view.act(x[2], s) == x[2]
-                    and view.act(x[3], s) == x[1]
+                    shapes[s] == "AD"
+                    and t[u] == u
+                    and t[x[1]] == x[3]
+                    and t[x[2]] == x[2]
+                    and t[x[3]] == x[1]
                 ):
                     ranked.append(s)
         ranked.extend(s for s in range(dfa.k) if s not in ranked)

@@ -61,6 +61,8 @@ class EnumerationScope:
                 raise ValueError("random mode needs sample_count >= 1")
             if self.rng_seed is None:
                 raise ValueError("random mode needs an explicit rng_seed")
+        elif self.sample_count is not None or self.rng_seed is not None:
+            raise ValueError("sample_count and rng_seed apply to random mode only")
 
     @property
     def total(self):
@@ -202,7 +204,7 @@ def _iter_block(scope, block_start, block_end):
 def _run_block(args):
     scope, theorem_ids, block_start, block_end = args
     checks = {tid: CHECKS[tid] for tid in theorem_ids}
-    if "corank3" in checks and scope.include_c4:
+    if scope.include_c4:
         checks["corank3"] = partial(check_corank3, include_c4=True)
     counts = {tid: [0, 0] for tid in theorem_ids}  # checked, applicable
     violations = {tid: [] for tid in theorem_ids}
@@ -245,6 +247,8 @@ def run_checks(theorem_ids, scope, jobs=1):
     for tid in theorem_ids:
         if tid not in CHECKS:
             raise ValueError(f"unknown theorem id {tid!r} (known: {', '.join(THEOREM_IDS)})")
+    if scope.include_c4 and "corank3" not in theorem_ids:
+        raise ValueError("include_c4 applies to the corank3 check only")
     _check_budget(scope)
     total = scope.total
     blocks = [

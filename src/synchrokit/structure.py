@@ -72,18 +72,22 @@ class StructureCertificate:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Per-clause validation outcome; failures carry human-readable details."""
+    """Validation outcome: one human-readable message per failed condition,
+    each starting with its clause, as in ``clause (iv): q in {1,2}``."""
 
-    clause_i: bool
-    clause_ii: bool
-    clause_iii: bool
-    clause_iv: bool
-    exhaustive_iii: bool
     failures: tuple
+
+    def _holds(self, clause):
+        return not any(f.startswith(f"clause ({clause}):") for f in self.failures)
+
+    clause_i = property(lambda self: self._holds("i"))
+    clause_ii = property(lambda self: self._holds("ii"))
+    clause_iii = property(lambda self: self._holds("iii"))
+    clause_iv = property(lambda self: self._holds("iv"))
 
     @property
     def all_pass(self):
-        return self.clause_i and self.clause_ii and self.clause_iii and self.clause_iv
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -307,119 +311,73 @@ def _check_cert_shape(dfa, cert):
         raise ValueError(f"unknown case tag {cert.case_tag!r}")
 
 
-def validate_certificate(dfa, cert, exhaustive_iii=False):
+def validate_certificate(dfa, cert):
     """Check every certificate clause directly against the automaton.
 
     Clause (iii) is checked at letter level: every letter is either
-    injective on the states or merges exactly the pair {1,2}.  With
-    ``exhaustive_iii`` (n <= 12) the quantified form is additionally
-    checked over all subsets R and letters s: |Rs| differs from |R| exactly
-    when 1s = 2s and {1,2} is inside R, and then by exactly one.
+    injective on the states or merges exactly the pair {1,2}.  This decides
+    its quantified form (for every set R and letter s, |Rs| differs from |R|
+    exactly when 1s = 2s and {1,2} is inside R, and then by exactly one):
+    a letter shrinks some R by more than one exactly when its image has at
+    most n-2 states, and shrinks some R not holding both 1 and 2 exactly
+    when it merges a pair other than {1,2}.
     """
     _check_cert_shape(dfa, cert)
     view = _View(dfa, cert.renumbering)
     b, a, d = cert.b_letter, cert.a_letter, cert.d_letter
     failures = []
 
-    clause_i = True
     if view.image(view.full, b) != view.without(1):
-        clause_i = False
         failures.append("clause (i): Q.b != Q \\ {1}")
     if view.act(1, b) != view.act(2, b):
-        clause_i = False
         failures.append("clause (i): 1b != 2b")
 
-    clause_ii = True
     if view.word_image(view.full, (b, a)) != view.without(2):
-        clause_ii = False
         failures.append("clause (ii): Q.ba != Q \\ {2}")
     if view.image(view.full, a) != view.full:
-        clause_ii = False
         failures.append("clause (ii): Q.a != Q")
     if view.act(1, a) != 2:
-        clause_ii = False
         failures.append("clause (ii): 1a != 2")
 
-    clause_iii = True
     for s in range(dfa.k):
         if view.is_permutation(s):
             continue
         pm = _merged_pair(view.tables[s])
         if pm is None:
-            clause_iii = False
             failures.append(f"clause (iii): letter {s} merges more than one pair")
             continue
         merged_pair = (pm[0][0] + 1, pm[0][1] + 1)
         if merged_pair != (1, 2):
-            clause_iii = False
             failures.append(f"clause (iii): letter {s} merges {merged_pair}, not {{1,2}}")
-    did_exhaustive = False
-    if exhaustive_iii:
-        if dfa.n > 12:
-            raise ValueError("exhaustive clause (iii) checking is capped at n <= 12")
-        did_exhaustive = True
-        pair_mask = view.set_of(1, 2)
-        for s in range(dfa.k):
-            merges_12 = view.act(1, s) == view.act(2, s)
-            for R in range(1 << dfa.n):
-                size = R.bit_count()
-                image_size = view.image(R, s).bit_count()
-                shrinks = image_size != size
-                predicted = merges_12 and (R & pair_mask) == pair_mask
-                if shrinks != predicted or (shrinks and image_size != size - 1):
-                    clause_iii = False
-                    failures.append(
-                        f"clause (iii): quantified form fails for letter {s}, R mask {R}"
-                    )
-                    break
 
-    clause_iv = True
     if tuple(view.orbit(1, a)) != tuple(cert.X):
-        clause_iv = False
         failures.append("clause (iv): X is not the orbit of 1 under a")
     q = cert.q
     if q in (1, 2):
-        clause_iv = False
         failures.append("clause (iv): q in {1,2}")
     if view.word_image(view.full, (b, a, d)) != view.without(q):
-        clause_iv = False
         failures.append("clause (iv): Q.bad != Q \\ {q}")
     qb_state = view.act(q, b)
     if qb_state == 1:
-        clause_iv = False
         failures.append("clause (iv): qb == 1")
     elif view.word_image(view.full, (b, a, d, b)) != view.without(1, qb_state):
-        clause_iv = False
         failures.append("clause (iv): Q.badb != Q \\ {1, qb}")
     if cert.case_tag == "X_GE_3":
         if len(cert.X) < 3:
-            clause_iv = False
             failures.append("clause (iv): case X_GE_3 but |X| < 3")
         if d != a:
-            clause_iv = False
             failures.append("clause (iv): case X_GE_3 but d != a")
     else:
         if len(cert.X) != 2:
-            clause_iv = False
             failures.append("clause (iv): case X_EQ_2 but |X| != 2")
         if view.image(view.full, d) != view.full:
-            clause_iv = False
             failures.append("clause (iv): Q.d != Q")
         if view.act(1, d) != 1:
-            clause_iv = False
             failures.append("clause (iv): 1d != 1")
         if dfa.n < 3 or view.act(3, d) != 2:
-            clause_iv = False
             failures.append("clause (iv): 3d != 2")
 
-    return CertificateReport(
-        clause_i=clause_i,
-        clause_ii=clause_ii,
-        clause_iii=clause_iii,
-        clause_iv=clause_iv,
-        exhaustive_iii=did_exhaustive,
-        failures=tuple(failures),
-    )
+    return CertificateReport(tuple(failures))
 
 
 def classify_pinlem(dfa, cert):
@@ -429,22 +387,23 @@ def classify_pinlem(dfa, cert):
     a letter matching neither is reported in ``unclassified`` rather than
     raised, so sweeps can record it as a counterexample.
     """
-    view = _View(dfa, cert.renumbering)
-    classes = []
-    unclassified = []
-    for s in range(dfa.k):
-        full_image = view.image(view.full, s) == view.full
-        if full_image and view.act(1, s) in (1, 2):
-            classes.append("AD")
-        elif (
-            view.image(view.full, s) == view.without(1)
-            and view.act(1, s) == view.act(2, s)
-        ):
-            classes.append("B1")
-        else:
-            classes.append(None)
-            unclassified.append(s)
-    return LetterClassification(classes=tuple(classes), unclassified=tuple(unclassified))
+    u, v = cert.renumbering.index(1), cert.renumbering.index(2)
+    classes = tuple(_adb1_shape(table, u, v) for table in dfa.letters)
+    unclassified = tuple(s for s, shape in enumerate(classes) if shape is None)
+    return LetterClassification(classes=classes, unclassified=unclassified)
+
+
+def _adb1_shape(table, u, v):
+    """The shape of a raw 0-based table, "AD", "B1" or None, when the
+    original states u and v (0-based) carry the labels 1 and 2.  AD is a
+    permutation sending 1 into {1,2}; B1 misses exactly state 1 from its
+    image and sends 1 and 2 to one state."""
+    image = set(table)
+    if len(image) == len(table):
+        return "AD" if table[u] in (u, v) else None
+    if len(image) == len(table) - 1 and u not in image and table[u] == table[v]:
+        return "B1"
+    return None
 
 
 def find_adb1_structure(dfa):
@@ -462,30 +421,16 @@ def find_adb1_structure(dfa):
 
 
 def _anchor_pair(n, tables):
-    """The pair of find_adb1_structure, 0-based, on raw 0-based tables."""
-    u = v = None
-    perms = []
-    for table in tables:
-        if len(set(table)) == n:
-            perms.append(table)
-            continue
-        pm = _merged_pair(table)
-        if pm is None:
-            return None
-        pair, missing = pm
-        if missing not in pair:
-            return None
-        partner = pair[0] if pair[1] == missing else pair[1]
-        if u is None:
-            u, v = missing, partner
-        elif (u, v) != (missing, partner):
-            return None
-    if u is None:
+    """The pair of find_adb1_structure, 0-based, on raw 0-based tables:
+    read off the first non-permutation letter, then every letter must be
+    AD or B1 under it."""
+    first = next((table for table in tables if len(set(table)) < n), None)
+    pm = None if first is None else _merged_pair(first)
+    if pm is None or pm[1] not in pm[0]:
         return None
-    for table in perms:
-        if table[u] not in (u, v):
-            return None
-    return u, v
+    (p, r), u = pm
+    v = r if p == u else p
+    return (u, v) if all(_adb1_shape(table, u, v) for table in tables) else None
 
 
 def pinlem_converse_check(dfa):

@@ -149,21 +149,45 @@ def random_dfas(seed, count, n, k):
     return [Dfa.from_tables(random_dfa_tables(rng, n, k)) for _ in range(count)]
 
 
+def adb1_shape(dfa, s, u, v):
+    """The shape of letter s under the 1-based states u, v: "AD" when s is a
+    permutation sending u into {u, v}, "B1" when its image misses exactly u
+    and u, v share an image, else None."""
+    full = dfa.full_set()
+    image = apply_word(dfa, full, (s,))
+    if image == full and dfa.delta(u, s) in (u, v):
+        return "AD"
+    if set(full) - set(image) == {u} and dfa.delta(u, s) == dfa.delta(v, s):
+        return "B1"
+    return None
+
+
 def adb1_pairs(dfa):
     """Every ordered pair (u, v) of distinct 1-based states under which each
-    letter is AD (a permutation sending u into {u, v}) or B1 (image misses
-    exactly u, and u, v share an image), by trying all pairs."""
-    full = dfa.full_set()
-    pairs = []
-    for u, v in itertools.permutations(range(1, dfa.n + 1), 2):
-        ok = True
-        for s in range(dfa.k):
-            image = apply_word(dfa, full, (s,))
-            ad = image == full and dfa.delta(u, s) in (u, v)
-            b1 = set(full) - set(image) == {u} and dfa.delta(u, s) == dfa.delta(v, s)
-            if not (ad or b1):
-                ok = False
-                break
-        if ok:
-            pairs.append((u, v))
-    return pairs
+    letter is AD or B1 (see adb1_shape), by trying all pairs."""
+    return [
+        (u, v)
+        for u, v in itertools.permutations(range(1, dfa.n + 1), 2)
+        if all(adb1_shape(dfa, s, u, v) for s in range(dfa.k))
+    ]
+
+
+def quantified_clause_iii(dfa, renumbering):
+    """Clause (iii) of the corank-2 certificate in its literal quantified
+    form: for every letter s and every set R of states, |Rs| differs from
+    |R| exactly when 1s = 2s and {1,2} is inside R, and then by exactly one.
+    ``renumbering[i-1]`` is the label of original state i; labels 1 and 2
+    are the only ones that matter, since set sizes ignore the numbering."""
+    state = {label: q for q, label in enumerate(renumbering, start=1)}
+    pair = {state[1], state[2]} if dfa.n >= 2 else None
+    for s in range(dfa.k):
+        merges_12 = pair is not None and len({dfa.delta(q, s) for q in pair}) == 1
+        for size in range(dfa.n + 1):
+            for R in itertools.combinations(range(1, dfa.n + 1), size):
+                image_size = len({dfa.delta(q, s) for q in R})
+                shrinks = image_size != size
+                if shrinks != (merges_12 and pair <= set(R)):
+                    return False
+                if shrinks and image_size != size - 1:
+                    return False
+    return True

@@ -150,13 +150,6 @@ class TestStructureVerbs:
         assert payload["certificate"]["b"] == "b" and payload["certificate"]["q"] == 3
         assert all(payload["clauses"].values())
 
-    def test_structure_exhaustive(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "structure", fixture_path("c4.dfa"), "--exhaustive-iii", "--json"
-        )
-        payload = json.loads(out)
-        assert payload["exhaustive_iii"] is True
-
     def test_structure_hypothesis_fails(self, capsys):
         code, out, _ = run_cli(capsys, "structure", fixture_path("i3.dfa"))
         assert code == 1
@@ -254,6 +247,17 @@ class TestVerifyVerb:
         code, out, err = run_cli(
             capsys, "verify", "corank3", "--n", n, "--samples", samples, "--seed", "3"
         )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("corank3", "--n", "3", "--seed", "5"), "random mode only"),
+         (("pin", "--n", "3", "--include-c4"), "corank3 check only")],
+    )
+    def test_verify_inert_option_exits_1(self, capsys, argv, message):
+        # An option that would leave the sweep unchanged is refused.
+        code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 

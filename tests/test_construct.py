@@ -102,7 +102,7 @@ class TestCorank3Word:
     def test_case_coverage(self, name):
         dfa = load_dfa(CASE_FIXTURES[name])
         cert = extract_certificate(dfa)
-        assert validate_certificate(dfa, cert, exhaustive_iii=True).all_pass
+        assert validate_certificate(dfa, cert).all_pass
         word, tag = corank3_word(dfa, cert)
         expected_case = name.split("_qb")[0].split("_3b")[0].split("_X")[0]
         assert tag.case == expected_case

@@ -155,6 +155,13 @@ class TestEnumeration:
             EnumerationScope(n=14, k=2)  # beyond the subset-table limit
         with pytest.raises(ValueError):
             EnumerationScope(n=64, k=2, mode="random", sample_count=1, rng_seed=1)
+        # Options that would change nothing are refused.
+        with pytest.raises(ValueError, match="random mode only"):
+            EnumerationScope(n=4, k=2, sample_count=10, rng_seed=3)
+        with pytest.raises(ValueError, match="random mode only"):
+            EnumerationScope(n=4, k=2, rng_seed=3)
+        with pytest.raises(ValueError, match="corank3 check only"):
+            run_checks(("pin", "franklpin"), EnumerationScope(n=2, k=1, include_c4=True))
 
 
 class TestRandomDfa:
@@ -329,7 +336,7 @@ class TestSharedSlowPath:
 
             def replacement(*args, **kwargs):
                 report = original(*args, **kwargs)
-                return dataclasses.replace(report, clause_i=False, failures=("forced",))
+                return dataclasses.replace(report, failures=("forced",))
 
             expected = {"claim": "pipeline", "error": "certificate does not validate: forced"}
         else:

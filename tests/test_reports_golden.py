@@ -3,8 +3,10 @@
 The expected files in ``tests/golden/`` hold the rendered reports of
 fixed random scopes, one report after another in theorem-id order.  A
 change to the sweep kernel or to anything it calls must leave them
-unchanged.  If a change means to alter a report, regenerate the file
-with ``render_reports`` for the scope below and review the diff.
+unchanged.  If a change means to alter a report, regenerate every file
+with ``write_reports`` and review the diff:
+
+    PYTHONPATH=src:tests python -c "import test_reports_golden as t; t.write_reports()"
 """
 
 import pathlib
@@ -19,8 +21,8 @@ from test_acceptance import SWEEP5_IDS
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 GOLDEN = {
-    # Every id is applicable here, and pipeline, greedy-stages, lemmaX and
-    # pincor all carry stats.
+    # Every id is applicable here, and pipeline, greedy-stages, lemmaX,
+    # corank2-cert and greedy-equiv all carry stats.
     "n4_k2_random3000_seed1": (
         EnumerationScope(4, 2, mode="random", sample_count=3000, rng_seed=1),
         THEOREM_IDS,
@@ -44,6 +46,11 @@ GOLDEN = {
 def render_reports(scope, theorem_ids):
     reports = run_checks(theorem_ids, scope)
     return "".join(reports[tid].render() for tid in theorem_ids)
+
+
+def write_reports():
+    for name, (scope, theorem_ids) in GOLDEN.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(render_reports(scope, theorem_ids))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from synchrokit import (
     Dfa,
     HypothesisFailed,
     PreconditionFailed,
+    StructureCertificate,
     apply_word,
     build_extremal_dfa,
     classify_pinlem,
@@ -26,7 +28,7 @@ from synchrokit.checks import Auto
 from synchrokit.structure import find_adb1_structure
 
 from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES, load_fixture
-from oracles import brute_min_length_to_size, random_dfas
+from oracles import adb1_shape, brute_min_length_to_size, quantified_clause_iii, random_dfas
 from test_construct import _cerny
 from test_harness import _count_calls, _raising, _rebind
 
@@ -138,12 +140,12 @@ class TestExtraction:
     def test_c3_certificate(self, c3):
         cert = extract_certificate(c3)
         assert cert.X == (1, 2, 3) and cert.case_tag == "X_GE_3"
-        assert validate_certificate(c3, cert, exhaustive_iii=True).all_pass
+        assert validate_certificate(c3, cert).all_pass
 
     def test_c5_certificate_orbit_five(self, c5):
         cert = extract_certificate(c5)
         assert cert.X == (1, 2, 3, 4, 5)
-        assert validate_certificate(c5, cert, exhaustive_iii=True).all_pass
+        assert validate_certificate(c5, cert).all_pass
 
     def test_hypothesis_failed(self, i3):
         with pytest.raises(HypothesisFailed):
@@ -153,7 +155,7 @@ class TestExtraction:
         # Same shape as the 4-state cycle-plus-merge automaton, states shuffled.
         dfa = parse_dfa("4 2\n3 4 2 1\n3 2 3 4\n")
         cert = extract_certificate(dfa)
-        report = validate_certificate(dfa, cert, exhaustive_iii=True)
+        report = validate_certificate(dfa, cert)
         assert report.all_pass
         assert cert.renumbering != (1, 2, 3, 4)
 
@@ -163,7 +165,7 @@ class TestExtraction:
         assert cert.a_replaced
         assert cert.a_letter == cert.d_letter == dfa.letter_index("d")
         assert cert.case_tag == "X_GE_3" and len(cert.X) == 3
-        assert validate_certificate(dfa, cert, exhaustive_iii=True).all_pass
+        assert validate_certificate(dfa, cert).all_pass
 
 
 # One tampered automaton row or certificate field per clause condition that
@@ -198,8 +200,8 @@ _TAMPERS = {
 class TestValidation:
     def test_all_clauses_pass(self, c4, e5):
         for dfa in (c4, e5):
-            report = validate_certificate(dfa, extract_certificate(dfa), exhaustive_iii=True)
-            assert report.all_pass and report.exhaustive_iii
+            report = validate_certificate(dfa, extract_certificate(dfa))
+            assert report.all_pass
             assert report.failures == ()
 
     def test_tampered_q_fails_clause_iv(self, c4):
@@ -233,19 +235,69 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_certificate(c4, cert)
 
-    def test_letter_level_iii_matches_exhaustive(self):
-        # On certified automata the letter-level clause (iii) check must
-        # agree with the quantified form over every subset.
-        checked = 0
-        for dfa in random_dfas(2024, 4000, 4, 2):
-            if not satisfies_corank2_hypothesis(dfa):
-                continue
-            cert = extract_certificate(dfa)
-            fast = validate_certificate(dfa, cert, exhaustive_iii=False)
-            slow = validate_certificate(dfa, cert, exhaustive_iii=True)
-            assert fast.clause_iii == slow.clause_iii
-            checked += 1
-        assert checked >= 5
+    def test_letter_level_iii_matches_quantified_form(self):
+        # Clause (iii) depends only on the numbering, so every automaton
+        # under every renumbering is a case, certified or not.
+        outcomes = []
+        for n in (2, 3):
+            rows = list(itertools.product(range(1, n + 1), repeat=n))
+            for tables in itertools.product(rows, repeat=2):
+                dfa = Dfa.from_tables(tables)
+                for renumbering in itertools.permutations(range(1, n + 1)):
+                    outcomes.append(_assert_clause_iii_matches(dfa, renumbering))
+        for dfa, renumbering in _shaped_population(2024, 20_000):
+            outcomes.append(_assert_clause_iii_matches(dfa, renumbering))
+        assert len(outcomes) == 24_406
+        assert outcomes.count(True) >= 1_000 and outcomes.count(False) >= 1_000
+
+
+def _numbering_only(renumbering):
+    """A certificate whose letter roles, q and X are arbitrary: for what
+    depends on the numbering alone (clause (iii), the letter classes)."""
+    return StructureCertificate(renumbering, 0, 0, 0, 1, (1,), "X_GE_3", False)
+
+
+def _assert_clause_iii_matches(dfa, renumbering):
+    holds = validate_certificate(dfa, _numbering_only(renumbering)).clause_iii
+    assert holds == quantified_clause_iii(dfa, renumbering), (dfa.letters, renumbering)
+    return holds
+
+
+def _shaped_population(seed, count):
+    """(dfa, renumbering) pairs with n = 4..6 and k = 1..3, biased toward the
+    certificate shapes around a random pair (u, v) of states: each letter is
+    a permutation (half of them sending u into {u, v}), a letter of image
+    Q minus u merging {u, v} or a random pair, or a uniform table, and three
+    renumberings in four give u and v the labels 1 and 2 in some order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k = rng.randint(4, 6), rng.randint(1, 3)
+        u, v = rng.sample(range(n), 2)
+        tables = []
+        for _ in range(k):
+            kind = rng.randrange(4)
+            if kind == 0:
+                table = rng.sample(range(n), n)
+                if rng.random() < 0.5:
+                    w = table.index(rng.choice((u, v)))
+                    table[u], table[w] = table[w], table[u]
+            elif kind == 3:
+                table = [rng.randrange(n) for _ in range(n)]
+            else:
+                x, y = (v, u) if kind == 1 else rng.sample(range(n), 2)
+                table = [0] * n
+                images = rng.sample([q for q in range(n) if q != u], n - 1)
+                for q, image in zip([q for q in range(n) if q != x], images):
+                    table[q] = image
+                table[x] = table[y]
+            tables.append(tuple(q + 1 for q in table))
+        labels = rng.sample(range(1, n + 1), n)
+        if rng.random() < 0.75:
+            first, second = (1, 2) if rng.random() < 0.5 else (2, 1)
+            for q, label in ((u, first), (v, second)):
+                w = labels.index(label)
+                labels[q], labels[w] = labels[w], labels[q]
+        yield Dfa.from_tables(tables), tuple(labels)
 
 
 class TestClassification:
@@ -269,6 +321,25 @@ class TestClassification:
         assert cls.classes[-1] is None and not cls.total
         assert cls.unclassified == (3,)
         assert not satisfies_corank2_hypothesis(extended)
+
+
+    def test_classes_match_oracle_shapes(self):
+        # Against the per-letter shape test of the brute-force oracle,
+        # under random renumberings of shaped and uniform automata.
+        rng = random.Random(5)
+        counts = {"AD": 0, "B1": 0, None: 0}
+        population = list(_shaped_population(77, 3000))
+        for dfa in random_dfas(78, 1000, 5, 3):
+            population.append((dfa, tuple(rng.sample(range(1, 6), 5))))
+        for dfa, renumbering in population:
+            u, v = renumbering.index(1) + 1, renumbering.index(2) + 1
+            expected = tuple(adb1_shape(dfa, s, u, v) for s in range(dfa.k))
+            cls = classify_pinlem(dfa, _numbering_only(renumbering))
+            assert cls.classes == expected, (dfa.letters, renumbering)
+            assert cls.unclassified == tuple(s for s, c in enumerate(expected) if c is None)
+            for c in expected:
+                counts[c] += 1
+        assert min(counts.values()) >= 500
 
 
 class TestConverse:
@@ -310,7 +381,7 @@ class TestCertificateSoundnessSweepSample:
             if not satisfies_corank2_hypothesis(dfa):
                 continue
             cert = extract_certificate(dfa)  # no CertificateContradiction
-            assert validate_certificate(dfa, cert, exhaustive_iii=True).all_pass
+            assert validate_certificate(dfa, cert).all_pass
             cls = classify_pinlem(dfa, cert)
             assert cls.total
             found += 1
