@@ -72,6 +72,7 @@ from .structure import (
     CertificateReport,
     LetterClassification,
     StructureCertificate,
+    certify,
     classify_pinlem,
     extract_certificate,
     pinlem_converse_check,

@@ -3,7 +3,8 @@
 Everything here works on raw transition tables and subset bitmasks so
 that the exhaustive sweeps stay fast; an automaton object is only built
 for the rare automata whose corank-2 hypothesis holds, and their
-certificate is extracted and validated once, shared by every check.
+certificate is extracted and validated once (``structure.certify``),
+shared by every check.  The harness records the faults checks raise.
 Where a fast path and a public function decide the same thing, they
 share one implementation: forward searches run ``power._bfs`` on the
 subset-image tables (the rank search, BFS distances, greedy stages and
@@ -18,17 +19,10 @@ independent reference is the brute-force code in the test suite.
 from __future__ import annotations
 
 from .automaton import Dfa, serialize_dfa
-from .errors import (
-    CertificateContradiction,
-    ConstructionContradiction,
-    HypothesisFailed,
-    TheoremViolation,
-)
-from .construct import _corank3_cases, _pipeline, _require_valid
+from .construct import _corank3_cases, _pipeline
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
 from .power import _bfs, _depth, _first_le, _rank_search, _size_masks, subset_images_for_table
-from .structure import (_anchor_pair, _hypothesis_holds, classify_pinlem,
-                        extract_certificate, validate_certificate)
+from .structure import _anchor_pair, _hypothesis_holds, certify, classify_pinlem
 
 
 class Auto:
@@ -138,19 +132,13 @@ class Auto:
         return self._dfa
 
     def certificate(self):
-        """(certificate, report, error): extraction and validation, memoized.
+        """The validated certificate (``structure.certify``), memoized.
 
-        Only called when corank2_hypothesis holds; a contradiction is
-        returned, not raised, so sweeps can record it.
+        Only called when corank2_hypothesis holds.  A contradiction is
+        raised to each check that asks, certify running again for each.
         """
         if self._cert is None:
-            try:
-                cert = extract_certificate(self.dfa())
-            except CertificateContradiction as e:
-                self._cert = (None, None, e)
-            else:
-                report = validate_certificate(self.dfa(), cert)
-                self._cert = (cert, report, None)
+            self._cert = certify(self.dfa())
         return self._cert
 
     def serialized(self):
@@ -237,11 +225,7 @@ def check_greedy_stages(auto, stats):
 def check_corank2_cert(auto, stats):
     if not auto.corank2_hypothesis:
         return False, None
-    cert, report, err = auto.certificate()
-    if err is not None:
-        return True, {"claim": "corank2-cert", "contradiction": str(err)}
-    if not report.all_pass:
-        return True, {"claim": "corank2-cert", "failures": list(report.failures)}
+    cert = auto.certificate()
     if cert.a_replaced:
         stats["a_replaced"] = stats.get("a_replaced", 0) + 1
     stats["case_" + cert.case_tag] = stats.get("case_" + cert.case_tag, 0) + 1
@@ -252,14 +236,7 @@ def check_lemmaX(auto, stats):
     n = auto.n
     if not auto.corank2_hypothesis or auto.rank > n - 3:
         return False, None
-    cert, report, err = auto.certificate()
-    if err is not None:
-        return True, {"claim": "lemmaX", "contradiction": str(err)}
-    try:
-        _require_valid(report)
-        word, tag = _corank3_cases(auto.dfa(), cert)
-    except (ConstructionContradiction, HypothesisFailed) as e:
-        return True, {"claim": "lemmaX", "error": str(e)}
+    word, tag = _corank3_cases(auto.dfa(), auto.certificate())
     stats[tag.case] = stats.get(tag.case, 0) + 1
     shortest = auto.dist_le(n - 3)
     if len(word) > 9 or shortest is None or shortest > len(word):
@@ -276,7 +253,7 @@ def check_greedy_equiv(auto, stats):
     if not hyp:
         return False, None
     if auto.corank2_hypothesis:
-        dfa, cert = auto.dfa(), auto.certificate()[0]
+        dfa, cert = auto.dfa(), auto.certificate()
         conditions = (cond1, _condition_2(dfa, cert).holds, _condition_3(dfa, cert) is not None, cond4)
         if cond1:
             stats["extremal"] = stats.get("extremal", 0) + 1
@@ -292,10 +269,7 @@ def check_greedy_equiv(auto, stats):
 def check_pinlem(auto, stats):
     if not auto.corank2_hypothesis:
         return False, None
-    cert, _report, err = auto.certificate()
-    if err is not None:
-        return True, {"claim": "pinlem", "contradiction": str(err)}
-    classification = classify_pinlem(auto.dfa(), cert)
+    classification = classify_pinlem(auto.dfa(), auto.certificate())
     if not classification.total:
         return True, {
             "claim": "pinlem",
@@ -317,10 +291,7 @@ def check_pinlem_converse(auto, stats):
 def check_pincor(auto, stats):
     if not auto.corank2_hypothesis or auto.rank > auto.n - 3:
         return False, None
-    cert, _report, err = auto.certificate()
-    if err is not None:
-        return True, {"claim": "pincor", "contradiction": str(err)}
-    if not pincor_check(auto.dfa(), cert):
+    if not pincor_check(auto.dfa(), auto.certificate()):
         return True, {"claim": "pincor"}
     return True, None
 
@@ -329,19 +300,8 @@ def check_pipeline(auto, stats):
     n = auto.n
     if n < 4 or auto.rank != 1:
         return False, None
-    cert = None
-    if auto.corank2_hypothesis:
-        cert, report, err = auto.certificate()
-        if err is not None:
-            return True, {"claim": "pipeline", "contradiction": str(err)}
-    try:
-        if cert is not None:
-            _require_valid(report)
-        word = _pipeline(auto.imgs, n, auto.forward()[0], cert, auto.dfa)
-    except TheoremViolation as e:
-        return True, {"claim": "pipeline", **e.detail}
-    except (ConstructionContradiction, HypothesisFailed) as e:
-        return True, {"claim": "pipeline", "error": str(e)}
+    cert = auto.certificate() if auto.corank2_hypothesis else None
+    word = _pipeline(auto.imgs, n, auto.forward()[0], cert, auto.dfa)
     stats["max_len"] = max(stats.get("max_len", 0), len(word))
     return True, None
 

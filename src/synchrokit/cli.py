@@ -42,7 +42,7 @@ from .power import (
     shortest_compressing_word,
     size_profile,
 )
-from .structure import classify_pinlem, extract_certificate, validate_certificate
+from .structure import certify, classify_pinlem, extract_certificate, validate_certificate
 
 
 def _read_dfa(path):
@@ -246,7 +246,7 @@ def cmd_structure(args):
 def cmd_classify(args):
     dfa = _read_dfa(args.file)
     try:
-        cert = extract_certificate(dfa)
+        cert = certify(dfa)
     except HypothesisFailed:
         raise HypothesisFailed(
             "letter classification requires the corank-2 certificate hypothesis"
@@ -265,7 +265,7 @@ def cmd_classify(args):
 
 def cmd_construct(args):
     dfa = _read_dfa(args.file)
-    cert = extract_certificate(dfa)
+    cert = certify(dfa)
     word, tag = corank3_word(dfa, cert)
     image = apply_word(dfa, dfa.full_set(), word)
     word4 = corank2_word(cert)
@@ -339,8 +339,7 @@ def cmd_extremal(args):
 
 def cmd_pincor(args):
     dfa = _read_dfa(args.file)
-    cert = extract_certificate(dfa)
-    ok = pincor_check(dfa, cert)
+    ok = pincor_check(dfa, certify(dfa))
     _emit(args, [f"pincor: {'pass' if ok else 'FAIL'}"], {"pass": ok})
     return 0 if ok else 2
 
@@ -464,10 +463,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (TheoremViolation, ConstructionContradiction, CertificateContradiction) as e:
-        detail = getattr(e, "detail", {})
         print(f"violation: {e}", file=sys.stderr)
-        if detail:
-            print(json.dumps(detail, indent=2, sort_keys=True), file=sys.stderr)
+        if e.detail:
+            print(json.dumps(e.detail, indent=2, sort_keys=True), file=sys.stderr)
         return 2
     except (ParseError, HypothesisFailed, PreconditionFailed, BudgetExceeded,
             SynchroError, ValueError) as e:

@@ -21,7 +21,7 @@ from .errors import (
     TheoremViolation,
 )
 from .power import _bfs, _first_le, _steppers, _word_to, rank
-from .structure import _View, _hypothesis_holds, extract_certificate, validate_certificate
+from .structure import _View, _hypothesis_holds, certify, validate_certificate
 
 __all__ = [
     "CaseTag",
@@ -68,25 +68,21 @@ def corank2_word(cert):
     return (cert.b_letter, cert.a_letter, cert.d_letter, cert.b_letter)
 
 
-def _require_valid(report):
-    """Raise HypothesisFailed unless the certificate report passes."""
-    if not report.all_pass:
-        raise HypothesisFailed(
-            "certificate does not validate: " + "; ".join(report.failures)
-        )
-
-
 def corank3_word(dfa, cert):
     """A word of length <= 9 taking the full set to size exactly n-3.
 
     Requires a valid certificate and rank <= n-3 (the case analysis for
     the smallest orbits needs some letter to move states from outside
-    {1,2,3} into it, which compressibility to n-3 guarantees).  Returns
-    the word together with the CaseTag recording the construction path.
-    Raises ConstructionContradiction when no case lands on size n-3 --
-    that would refute the bound and is recorded by the harness.
+    {1,2,3} into it, which compressibility to n-3 guarantees).  The
+    certificate may come from anywhere, so it is validated here: one that
+    fails a clause raises HypothesisFailed.  Returns the word together
+    with the CaseTag recording the construction path.  Raises
+    ConstructionContradiction when no case lands on size n-3 -- that would
+    refute the bound and is recorded by the harness.
     """
-    _require_valid(validate_certificate(dfa, cert))
+    failures = validate_certificate(dfa, cert).failures
+    if failures:
+        raise HypothesisFailed("certificate does not validate: " + "; ".join(failures))
     if rank(dfa) > dfa.n - 3:
         raise HypothesisFailed("automaton does not compress to size n-3")
     return _corank3_cases(dfa, cert)
@@ -337,6 +333,7 @@ def sync_pipeline(dfa):
     by direct search -- and each later stage applies the pair-compression
     bound for c = 4, ..., n-1 in order.  One search from the full set, to its
     first set of size <= n-3, serves the hypothesis and the direct prefix.
+    A certificate that does not validate raises CertificateContradiction.
     """
     n = dfa.n
     if n < 4:
@@ -345,10 +342,7 @@ def sync_pipeline(dfa):
         raise PreconditionFailed("automaton is not synchronizable")
     images = _steppers(dfa, range(dfa.k))
     parent, _hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() <= n - 3)
-    cert = None
-    if _hypothesis_holds(parent, n):
-        cert = extract_certificate(dfa)
-        _require_valid(validate_certificate(dfa, cert))
+    cert = certify(dfa) if _hypothesis_holds(parent, n) else None
     return _pipeline(images, n, parent, cert, lambda: dfa)
 
 

@@ -2,7 +2,11 @@
 
 
 class SynchroError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``detail`` holds reproduction data."""
+
+    def __init__(self, message, detail=None):
+        self.detail = detail or {}
+        super().__init__(message)
 
 
 class ParseError(SynchroError):
@@ -24,26 +28,18 @@ class PreconditionFailed(SynchroError):
 
 
 class CertificateContradiction(SynchroError):
-    """Certificate extraction could not derive a role the structure theory
-    guarantees (the b letter's merged pair, the state relabelled 3, or q).
+    """The corank-2 hypothesis holds but no valid certificate exists.
 
-    Clause failures of a derived certificate are reported by
-    validate_certificate, not raised.  This is a first-class outcome, not a
-    crash: the verification harness records it as a would-be counterexample
-    instead of suppressing it.
+    Raised when extraction cannot derive a role the structure theory
+    guarantees (the b letter's merged pair, the state relabelled 3, or q),
+    and by ``certify`` when the extracted certificate fails a clause.
+    Either is a counterexample to the structure theory, not a crash: the
+    verification harness records it and the CLI exits 2.
     """
-
-    def __init__(self, message, detail=None):
-        self.detail = detail or {}
-        super().__init__(message)
 
 
 class ConstructionContradiction(SynchroError):
     """A witness construction failed where the case analysis guarantees success."""
-
-    def __init__(self, message, detail=None):
-        self.detail = detail or {}
-        super().__init__(message)
 
 
 class TheoremViolation(SynchroError):
@@ -52,10 +48,6 @@ class TheoremViolation(SynchroError):
     Since the bounds are theorems, a violation always means an implementation
     bug; the record carries full reproduction data.
     """
-
-    def __init__(self, message, detail=None):
-        self.detail = detail or {}
-        super().__init__(message)
 
 
 class BudgetExceeded(SynchroError):

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .automaton import Dfa, _ImageMap, apply_letter, apply_word, default_names
-from .errors import CertificateContradiction, HypothesisFailed, PreconditionFailed
+from .errors import HypothesisFailed, PreconditionFailed
 from .power import (
     _TABLE_LIMIT,
     _bfs,
@@ -30,7 +30,7 @@ from .power import (
     rank,
     subset_image_tables,
 )
-from .structure import _adb1_shape, extract_certificate
+from .structure import _adb1_shape, certify
 
 __all__ = [
     "GreedyConditionReport",
@@ -264,11 +264,11 @@ def _condition_4_witness(dfa, tables):
 
 
 def _certificate(dfa):
-    """The corank-2 certificate, or None when the hypothesis fails or no
-    certificate can be extracted."""
+    """The validated corank-2 certificate, or None when the hypothesis
+    fails; a CertificateContradiction propagates."""
     try:
-        return extract_certificate(dfa)
-    except (HypothesisFailed, CertificateContradiction):
+        return certify(dfa)
+    except HypothesisFailed:
         return None
 
 

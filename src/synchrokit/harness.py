@@ -20,7 +20,8 @@ from functools import partial
 from .automaton import MAX_STATES, Dfa
 from .checks import CHECKS, THEOREM_IDS, Auto, check_corank3
 from .power import _TABLE_LIMIT, subset_images_for_table
-from .errors import BudgetExceeded
+from .errors import (BudgetExceeded, CertificateContradiction, ConstructionContradiction,
+                     TheoremViolation)
 
 __all__ = [
     "THEOREM_IDS",
@@ -202,6 +203,7 @@ def _iter_block(scope, block_start, block_end):
 
 
 def _run_block(args):
+    """Check one block; a fault a check raises is its violation there."""
     scope, theorem_ids, block_start, block_end = args
     checks = {tid: CHECKS[tid] for tid in theorem_ids}
     if scope.include_c4:
@@ -214,7 +216,14 @@ def _run_block(args):
         auto = Auto(scope.n, tables, imgs)
         clock = time.perf_counter()
         for tid in theorem_ids:
-            applicable, detail = checks[tid](auto, stats[tid])
+            try:
+                applicable, detail = checks[tid](auto, stats[tid])
+            except TheoremViolation as e:
+                applicable, detail = True, {"claim": tid, **e.detail}
+            except CertificateContradiction as e:
+                applicable, detail = True, {"claim": tid, "contradiction": str(e)}
+            except ConstructionContradiction as e:
+                applicable, detail = True, {"claim": tid, "error": str(e)}
             counts[tid][0] += 1
             if applicable:
                 counts[tid][1] += 1

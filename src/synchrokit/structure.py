@@ -8,7 +8,8 @@ equal to ``a``) continues the compression.  This module decides the
 hypothesis (by one search and one predicate on its parent links),
 extracts the certificate deterministically, validates its clauses, and
 classifies letters into the two shapes every letter of a certified
-automaton must take.
+automaton must take.  ``certify`` does both steps and is the package's
+one source of certificates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "satisfies_corank2_hypothesis",
     "extract_certificate",
     "validate_certificate",
+    "certify",
     "classify_pinlem",
     "find_adb1_structure",
     "pinlem_converse_check",
@@ -300,6 +302,8 @@ def extract_certificate(dfa):
 
 
 def _check_cert_shape(dfa, cert):
+    if dfa.n < 2:
+        raise ValueError("a certificate needs states 1 and 2")
     if sorted(cert.renumbering) != list(range(1, dfa.n + 1)):
         raise ValueError("renumbering is not a permutation of the states")
     for letter in (cert.b_letter, cert.a_letter, cert.d_letter):
@@ -380,6 +384,18 @@ def validate_certificate(dfa, cert):
     return CertificateReport(tuple(failures))
 
 
+def certify(dfa):
+    """The extracted certificate, once every clause validates.  Raises
+    HypothesisFailed when the hypothesis does not hold, and
+    CertificateContradiction when a role cannot be derived or a clause
+    fails: either refutes the structure theory."""
+    cert = extract_certificate(dfa)
+    failures = validate_certificate(dfa, cert).failures
+    if failures:
+        raise CertificateContradiction("certificate does not validate: " + "; ".join(failures))
+    return cert
+
+
 def classify_pinlem(dfa, cert):
     """Classify every letter as AD or B1 in the certificate numbering.
 
@@ -387,6 +403,7 @@ def classify_pinlem(dfa, cert):
     a letter matching neither is reported in ``unclassified`` rather than
     raised, so sweeps can record it as a counterexample.
     """
+    _check_cert_shape(dfa, cert)
     u, v = cert.renumbering.index(1), cert.renumbering.index(2)
     classes = tuple(_adb1_shape(table, u, v) for table in dfa.letters)
     unclassified = tuple(s for s, shape in enumerate(classes) if shape is None)

@@ -3,11 +3,12 @@
 ``tests/golden/cli_transcript.txt`` holds the exit code, stdout and
 stderr of the single-automaton verbs built on the power-automaton
 searches (``rank``, ``greedy --corank 2``, ``structure``, ``classify``,
-``pincor`` and ``pipeline``), human and ``--json``.  The inputs are the
-fixtures, the case fixtures and seeded random automata with n = 1..7 and
-k = 1..3, so automata with n < 3, with n < 4 and without a synchronizing
-word all appear.  If a change means to alter the output, regenerate the
-file with ``render_transcript`` and review the diff:
+``construct``, ``pincor``, ``pipeline`` and ``greedy-conditions``), human
+and ``--json``.  The inputs are the fixtures, the case fixtures and seeded
+random automata with n = 1..7 and k = 1..3, so automata with n < 3, with
+n < 4 and without a synchronizing word all appear.  If a change means to
+alter the output, regenerate the file with ``render_transcript`` and
+review the diff:
 
     PYTHONPATH=src:tests python -c "import test_cli_golden as t; t.write_transcript()"
 """
@@ -29,8 +30,10 @@ VERBS = (
     ("greedy", "--corank", "2"),
     ("structure",),
     ("classify",),
+    ("construct",),
     ("pincor",),
     ("pipeline",),
+    ("greedy-conditions",),
 )
 
 # (n, k) of the seeded random automata, in drawing order.

@@ -262,8 +262,7 @@ class TestSyncPipeline:
             auto = Auto(dfa.n, dfa.letters)
             cert = None
             if auto.corank2_hypothesis:
-                cert, report, err = auto.certificate()
-                assert err is None and report.all_pass
+                cert = auto.certificate()
                 certified += 1
             word = construct._pipeline(auto.imgs, dfa.n, auto.forward()[0], cert, auto.dfa)
             assert word == sync_pipeline(dfa)

@@ -19,7 +19,7 @@ from synchrokit import (
     serialize_dfa,
     shortest_compressing_word,
 )
-from synchrokit import extremal
+from synchrokit import extremal, structure
 from synchrokit.extremal import classify_greedy_letter
 
 from conftest import A_REPLACED_FIXTURE
@@ -158,13 +158,13 @@ class TestConditionChecks:
 
     def test_equivalence_extracts_the_certificate_once(self, monkeypatch):
         extracted = []
-        original = extremal.extract_certificate
+        original = structure.extract_certificate
 
         def counting(dfa):
             extracted.append(dfa.n)
             return original(dfa)
 
-        monkeypatch.setattr(extremal, "extract_certificate", counting)
+        monkeypatch.setattr(structure, "extract_certificate", counting)
         assert assert_equivalence(build_extremal_dfa(9)).consistent
         assert extracted == [9]
 

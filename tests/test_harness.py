@@ -22,14 +22,17 @@ from synchrokit import (
     run_checks,
     serialize_dfa,
     shortest_compressing_word,
+    sync_pipeline,
 )
 from synchrokit import construct, power, structure
+from synchrokit.cli import main
 from synchrokit.checks import CHECKS, Auto, _reach_within
-from synchrokit.extremal import check_condition_1, check_condition_4, hypothesis_greedy
+from synchrokit.extremal import (assert_equivalence, check_condition_1, check_condition_4,
+                                 hypothesis_greedy)
 from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _si_tables
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
-from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES
+from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES, fixture_path
 from oracles import (
     adb1_pairs,
     brute_closure,
@@ -70,6 +73,16 @@ def _count_calls(monkeypatch, original):
 
     _rebind(monkeypatch, original, counting)
     return calls
+
+
+def _fail_every_certificate(monkeypatch):
+    """Make validate_certificate report one failed clause, "forced"."""
+    original = structure.validate_certificate
+
+    def replacement(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), failures=("forced",))
+
+    _rebind(monkeypatch, original, replacement)
 
 
 def _raising(error):
@@ -327,27 +340,35 @@ class TestSharedSlowPath:
 
     @pytest.mark.parametrize("fault", ["extraction", "validation", "construction"])
     def test_pipeline_records_slow_path_faults(self, monkeypatch, fault):
+        counts = {"lemmaX": 24, "pipeline": 24}
         if fault == "extraction":
-            original = structure.extract_certificate
-            replacement = _raising(CertificateContradiction("forced"))
-            expected = {"claim": "pipeline", "contradiction": "forced"}
+            _rebind(monkeypatch, structure.extract_certificate,
+                    _raising(CertificateContradiction("forced")))
+            detail = {"contradiction": "forced"}
         elif fault == "validation":
-            original = structure.validate_certificate
-
-            def replacement(*args, **kwargs):
-                report = original(*args, **kwargs)
-                return dataclasses.replace(report, failures=("forced",))
-
-            expected = {"claim": "pipeline", "error": "certificate does not validate: forced"}
+            # Every check that uses the certificate records the failed clause.
+            _fail_every_certificate(monkeypatch)
+            counts = {"corank2-cert": 29, "lemmaX": 24, "greedy-equiv": 24,
+                      "pinlem": 29, "pincor": 24, "pipeline": 24}
+            detail = {"contradiction": "certificate does not validate: forced"}
         else:
-            original = construct._corank3_cases
-            replacement = _raising(ConstructionContradiction("forced"))
-            expected = {"claim": "pipeline", "error": "forced"}
-        _rebind(monkeypatch, original, replacement)
-        reports = run_checks(("lemmaX", "pipeline"), scope(4, 2, **N4_RANDOM))
-        details = [ce["detail"] for ce in reports["pipeline"].counterexamples]
-        assert reports["lemmaX"].violation_count == 24
-        assert details == [expected] * 24
+            _rebind(monkeypatch, construct._corank3_cases,
+                    _raising(ConstructionContradiction("forced")))
+            detail = {"error": "forced"}
+        reports = run_checks(tuple(counts), scope(4, 2, **N4_RANDOM))
+        for tid, count in counts.items():
+            details = [ce["detail"] for ce in reports[tid].counterexamples]
+            assert details == [{"claim": tid, **detail}] * count, tid
+
+    def test_no_verb_builds_on_a_failed_certificate(self, monkeypatch, c5, e5):
+        _fail_every_certificate(monkeypatch)
+        with pytest.raises(CertificateContradiction):
+            sync_pipeline(c5)
+        with pytest.raises(CertificateContradiction):
+            assert_equivalence(e5)
+        for verb, name in (("classify", "e5.dfa"), ("construct", "e5.dfa"), ("pincor", "e5.dfa"),
+                           ("greedy-conditions", "e5.dfa"), ("pipeline", "c5.dfa")):
+            assert main([verb, fixture_path(name)]) == 2, verb
 
     def test_certificate_extracted_and_validated_once(self, monkeypatch):
         extracted = _count_calls(monkeypatch, structure.extract_certificate)

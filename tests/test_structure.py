@@ -23,7 +23,7 @@ from synchrokit import (
     sync_pipeline,
     validate_certificate,
 )
-from synchrokit import construct, power
+from synchrokit import power, structure
 from synchrokit.checks import Auto
 from synchrokit.structure import find_adb1_structure
 
@@ -62,7 +62,7 @@ class TestHypothesis:
     def test_every_decider_matches_brute_force(self, monkeypatch):
         # A shortest word to size n-2 passes only distinct sets of size n or
         # n-1, so n+1 letters bound the enumeration exactly.
-        extracted = _count_calls(monkeypatch, construct.extract_certificate)
+        extracted = _count_calls(monkeypatch, structure.extract_certificate)
         holds_count = converse_count = pipeline_count = 0
         for dfa in _hypothesis_population():
             n = dfa.n
@@ -232,8 +232,15 @@ class TestValidation:
 
     def test_tampered_renumbering_rejected(self, c4):
         cert = dataclasses.replace(extract_certificate(c4), renumbering=(1, 1, 3, 4))
-        with pytest.raises(ValueError):
-            validate_certificate(c4, cert)
+        for check in (validate_certificate, classify_pinlem):
+            with pytest.raises(ValueError, match="not a permutation"):
+                check(c4, cert)
+
+    def test_one_state_certificate_rejected(self):
+        cert = StructureCertificate((1,), 0, 0, 0, 1, (1,), "X_GE_3", False)
+        for check in (validate_certificate, classify_pinlem):
+            with pytest.raises(ValueError, match="needs states 1 and 2"):
+                check(Dfa.from_tables([(1,)]), cert)
 
     def test_letter_level_iii_matches_quantified_form(self):
         # Clause (iii) depends only on the numbering, so every automaton
