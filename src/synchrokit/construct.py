@@ -83,6 +83,12 @@ def corank3_word(dfa, cert):
     failures = validate_certificate(dfa, cert).failures
     if failures:
         raise HypothesisFailed("certificate does not validate: " + "; ".join(failures))
+    return _corank3_certified(dfa, cert)
+
+
+def _corank3_certified(dfa, cert):
+    """``corank3_word`` for a certificate already validated, such as one
+    from ``certify``: the rank precondition, then the case analysis."""
     if rank(dfa) > dfa.n - 3:
         raise HypothesisFailed("automaton does not compress to size n-3")
     return _corank3_cases(dfa, cert)
@@ -271,9 +277,13 @@ def pin_extension(dfa, w, c):
     # set is sound because only the set reached matters downstream.
     target = n - c
     images = _steppers(dfa, range(dfa.k))
-    parent, hit = _bfs(
-        images, A.mask, lambda T: len(apply_word(dfa, StateSet(T), w)) <= target, max_depth=c
-    )
+
+    def lands(T):
+        for s in w:
+            T = images[s][T]
+        return T.bit_count() <= target
+
+    parent, hit = _bfs(images, A.mask, lands, max_depth=c)
     if hit is not None:
         return _word_to(images, range(dfa.k), parent, hit)
     raise TheoremViolation(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from synchrokit import apply_word, load_dfa, power
+from synchrokit import apply_word, load_dfa, power, structure
 from synchrokit.cli import build_parser, main
 
 from conftest import A_REPLACED_FIXTURE, FIXTURES, fixture_path, load_fixture
@@ -164,6 +164,20 @@ class TestStructureVerbs:
         payload = json.loads(out)
         assert payload["word"] == "baaabaaab"
         assert payload["case"]["case"] == "CASE_I" and payload["case"]["qb_is_3"]
+
+    def test_construct_validates_once(self, capsys, monkeypatch):
+        validated = _count_calls(monkeypatch, structure.validate_certificate)
+        code, _, _ = run_cli(capsys, "construct", fixture_path("e5.dfa"))
+        assert code == 0
+        assert len(validated) == 1
+
+    def test_construct_needs_rank_n_minus_3(self, capsys, tmp_path):
+        # The certificate validates, but nothing compresses to size n-3.
+        path = tmp_path / "orbit12.dfa"
+        path.write_text("4 3\nnames: a d b\n2 1 3 4\n1 3 2 4\n2 2 3 4\n")
+        code, _, err = run_cli(capsys, "construct", str(path))
+        assert code == 1
+        assert err == "error: automaton does not compress to size n-3\n"
 
     def test_extend(self, capsys):
         code, out, _ = run_cli(

@@ -3,12 +3,14 @@
 ``tests/golden/cli_transcript.txt`` holds the exit code, stdout and
 stderr of the single-automaton verbs built on the power-automaton
 searches (``rank``, ``greedy --corank 2``, ``structure``, ``classify``,
-``construct``, ``pincor``, ``pipeline`` and ``greedy-conditions``), human
-and ``--json``.  The inputs are the fixtures, the case fixtures and seeded
-random automata with n = 1..7 and k = 1..3, so automata with n < 3, with
-n < 4 and without a synchronizing word all appear.  If a change means to
-alter the output, regenerate the file with ``render_transcript`` and
-review the diff:
+``construct``, ``pincor``, ``pipeline``, ``greedy-conditions`` and
+``compress --target-size 1``), human and ``--json``.  The inputs are the
+fixtures, the case fixtures, seeded random automata with n = 1..7 and
+k = 1..3, so automata with n < 3, with n < 4 and without a synchronizing
+word all appear, and two automata above the 13-state table limit: a seeded
+relabelling of Cerny C_14 and a seeded random n = 15, k = 2 automaton.  If
+a change means to alter the output, regenerate the file with
+``render_transcript`` and review the diff:
 
     PYTHONPATH=src:tests python -c "import test_cli_golden as t; t.write_transcript()"
 """
@@ -22,6 +24,8 @@ import tempfile
 from synchrokit.cli import main
 
 from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES, FIXTURES
+from test_construct import _cerny
+from test_harness import _relabelled
 
 TRANSCRIPT = pathlib.Path(__file__).resolve().parent / "golden" / "cli_transcript.txt"
 
@@ -34,6 +38,7 @@ VERBS = (
     ("pincor",),
     ("pipeline",),
     ("greedy-conditions",),
+    ("compress", "--target-size", "1"),
 )
 
 # (n, k) of the seeded random automata, in drawing order.
@@ -52,6 +57,15 @@ def transcript_inputs():
     for i, (n, k) in enumerate(RANDOM_SHAPES):
         rows = [" ".join(str(rng.randint(1, n)) for _ in range(n)) for _ in range(k)]
         inputs.append((f"random{i:02d}_n{n}_k{k}", f"{n} {k}\n" + "\n".join(rows) + "\n"))
+    # Above the table limit: Cerny C_14 under a seeded renumbering, then a
+    # random n = 15, k = 2 automaton.
+    perm = list(range(14))
+    rng.shuffle(perm)
+    tables = _relabelled(_cerny(14).letters, perm)
+    rows = [" ".join(str(image + 1) for image in table) for table in tables]
+    inputs.append(("cerny14_relabelled", "14 2\n" + "\n".join(rows) + "\n"))
+    rows = [" ".join(str(rng.randint(1, 15)) for _ in range(15)) for _ in range(2)]
+    inputs.append(("random_n15_k2", "15 2\n" + "\n".join(rows) + "\n"))
     return inputs
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from synchrokit import (
     validate_certificate,
 )
 from synchrokit import construct, power
+from synchrokit.automaton import _ImageMap
 from synchrokit.checks import Auto
 
 from conftest import CASE_FIXTURES
@@ -159,6 +161,33 @@ class TestPinExtension:
             pin_extension(i3, (), 1)  # rank 3 > n-1
         with pytest.raises(PreconditionFailed):
             pin_extension(c4, (), 0)
+
+    def test_same_bridges_as_applying_w_per_set(self):
+        # The stop predicate applies w through the search's own maps; the
+        # reference tests every discovered set with apply_word, on bit-walk maps.
+        def by_apply_word(dfa, w, c):
+            images = [_ImageMap(table) for table in dfa.letters]
+            start = apply_word(dfa, dfa.full_set(), w).mask
+            target = dfa.n - c
+            parent, hit = power._bfs(
+                images, start, lambda T: len(apply_word(dfa, StateSet(T), w)) <= target, max_depth=c
+            )
+            return None if hit is None else power._word_to(images, range(dfa.k), parent, hit)
+
+        rng = random.Random(12)
+        cases = []
+        for n in (4, 5, 6):
+            for dfa in random_dfas(120 + n, 60, n, rng.choice((2, 3))):
+                w = tuple(rng.randrange(dfa.k) for _ in range(rng.randrange(6)))
+                c = n + 1 - len(apply_word(dfa, dfa.full_set(), w))
+                if 1 <= c <= n - 1 and rank(dfa) <= n - c:
+                    cases.append((dfa, w, c))
+        for n in (14, 15):
+            cerny = _cerny(n)
+            cases += [(cerny, greedy_word(cerny, c - 1).total, c) for c in (2, 5, 9)]
+        assert len(cases) > 100
+        for dfa, w, c in cases:
+            assert pin_extension(dfa, w, c) == by_apply_word(dfa, w, c)
 
     def test_bridge_is_shortest(self, c4):
         w = parse_word(c4, "baab")

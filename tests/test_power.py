@@ -17,12 +17,14 @@ from synchrokit import (
     rank,
     shortest_compressing_word,
     size_profile,
+    sync_pipeline,
 )
 from synchrokit import power
+from synchrokit.automaton import _ImageMap
 
 from oracles import brute_closure, brute_min_length_to_size, no_shorter_word, random_dfas
 from test_construct import _cerny
-from test_harness import _count_calls
+from test_harness import _count_calls, _rebind, _relabelled
 
 
 def _every_dfa(n, k):
@@ -176,6 +178,65 @@ class TestRank:
         for _ in range(50):
             w = tuple(rng.randrange(e5.k) for _ in range(rng.randrange(12)))
             assert len(apply_word(e5, e5.full_set(), w)) >= r
+
+
+def _relabelled_cerny(n, seed):
+    """Cerny C_n with its states renumbered by a seeded permutation."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Dfa(n, _relabelled(_cerny(n).letters, perm), ("a", "b"))
+
+
+def _bit_walk_steppers(dfa, letter_indices):
+    return [_ImageMap(dfa.letters[j]) for j in letter_indices]
+
+
+class TestByteImageMap:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 14, 15, 16, 17, 31, 64])
+    def test_matches_the_bit_walk(self, n):
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(300)]
+        kinds = [power._ByteImageMap] + ([power._TwoByteImageMap] if 9 <= n <= 16 else [])
+        for _ in range(5):
+            table = tuple(rng.randrange(n) for _ in range(n))
+            walk = _ImageMap(table)
+            for kind in kinds:
+                image = kind(table)
+                assert [image[m] for m in masks] == [walk[m] for m in masks]
+
+    def test_steppers_above_the_table_limit(self):
+        for n, kind in ((14, power._TwoByteImageMap), (16, power._TwoByteImageMap),
+                        (17, power._ByteImageMap)):
+            assert [type(image) for image in power._steppers(_cerny(n), (0, 1))] == [kind, kind]
+        assert power._steppers(_cerny(13), (1,)) == [power.subset_image_tables(_cerny(13))[1]]
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_relabelled_cerny_needs_n_minus_1_squared(self, n):
+        dfa = _relabelled_cerny(n, n)
+        result = shortest_compressing_word(dfa, dfa.full_set(), 1)
+        assert result.length == (n - 1) ** 2
+        assert len(apply_word(dfa, dfa.full_set(), result.word)) == 1
+
+    def test_words_match_the_bit_walk_search(self):
+        dfas = [_relabelled_cerny(n, 3 * n) for n in (14, 15)]
+        dfas += [d for n in (14, 15, 16) for d in random_dfas(900 + n, 4, n, 2)]
+        dfas += random_dfas(917, 2, 17, 3)
+        for dfa in dfas:
+            images = _bit_walk_steppers(dfa, range(dfa.k))
+            full = (1 << dfa.n) - 1
+            for target in range(dfa.n - 1, rank(dfa) - 1, -1):
+                parent, hit = power._bfs(images, full, lambda T: T.bit_count() <= target)
+                expected = power._word_to(images, range(dfa.k), parent, hit)
+                result = shortest_compressing_word(dfa, dfa.full_set(), target)
+                assert (result.word, result.final_set.mask) == (expected, hit)
+
+    def test_greedy_and_pipeline_words_match_the_bit_walk(self, monkeypatch):
+        dfas = [_cerny(14), _cerny(15), _relabelled_cerny(14, 1), _relabelled_cerny(15, 2)]
+        dfas += [d for n in (14, 15) for d in random_dfas(950 + n, 3, n, 2) if rank(d) == 1]
+        assert len(dfas) > 4
+        words = [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
+        _rebind(monkeypatch, power._steppers, _bit_walk_steppers)
+        assert words == [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
 
 
 class TestSizeProfile:
