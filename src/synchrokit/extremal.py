@@ -101,7 +101,7 @@ def _profile(n):
 def _greedy_flags(n, tables):
     """(hypothesis, cond1, cond4) decided on layers of subset-index masks.
 
-    ``tables`` are the per-letter subset-image tables; layer t is the mask
+    ``tables`` are the per-letter subset-image maps; layer t is the mask
     of the subset indices reached by the words of length t.  cond1 and
     cond4 only mean something when the hypothesis holds (both are True
     otherwise).  Layering stops at the first depth where a set of size
@@ -161,12 +161,14 @@ def _greedy_flags(n, tables):
 
 
 def _decide(dfa):
-    """(subset-image tables, greedy flags); capped at the table limit."""
-    tables = subset_image_tables(dfa)
-    if tables is None:
+    """(subset-image maps, greedy flags).  Capped at the table limit because
+    ``_size_masks`` enumerates the subset lattice; the layers and witnesses
+    read their images from the cached maps, byte-sliced above 8 states."""
+    if dfa.n > _TABLE_LIMIT:
         raise ValueError(
             f"condition checks enumerate the subset lattice and are capped at n <= {_TABLE_LIMIT}"
         )
+    tables = subset_image_tables(dfa)
     return tables, _greedy_flags(dfa.n, tables)
 
 

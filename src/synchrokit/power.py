@@ -7,10 +7,11 @@ package builds on: the subset-image tables, the per-letter steppers, and
 the one forward search with lexicographically least parent links, which
 the verification sweep's kernel runs too.  All searches run over the
 forward closure of the start set only, never the full subset lattice.
-Up to ``_TABLE_LIMIT`` states a search looks images up in full 2^n-entry
-subset-image tables; above it, in byte-sliced maps (one 256-entry table
-per block of 8 states, ORed per byte of the set).  Code that takes the
-images of only a few sets walks their bits instead (``_ImageMap``).
+A search looks images up in one cached map per letter: up to 8 states
+the full subset-image table, above that a byte-sliced map (one 256-entry
+table per block of 8 states, ORed per byte of the set), so no search
+builds a table of more than 256 entries.  Code that takes the images of
+only a few sets walks their bits instead (``_ImageMap``).
 The rank (the minimum reachable image size) needs no such search: pair
 merging on the pair automaton finds it in polynomial time.
 """
@@ -31,8 +32,8 @@ __all__ = [
     "greedy_word",
 ]
 
-# Full subset-image tables are precomputed up to this many states; beyond
-# that searches use byte-sliced maps (the tables would need 2^n entries).
+# The code that enumerates the whole subset lattice -- the verification
+# sweeps and the greedy-condition layers -- is capped at this many states.
 _TABLE_LIMIT = 13
 
 
@@ -120,24 +121,21 @@ def _size_masks(n):
 
 @lru_cache(maxsize=128)
 def subset_image_tables(dfa):
-    """Per-letter tables mapping every subset bitmask to its image bitmask.
-
-    Returns None when the automaton is too large for full tables.
-    """
-    if dfa.n > _TABLE_LIMIT:
-        return None
-    return [subset_images_for_table(dfa.n, table) for table in dfa.letters]
+    """One subset-image map per letter, indexed by mask: the full table up to
+    8 states (the single 256-entry block of a byte-sliced map), a
+    ``_TwoByteImageMap`` up to 16 and a ``_ByteImageMap`` above."""
+    n = dfa.n
+    if n <= 8:
+        return [subset_images_for_table(n, table) for table in dfa.letters]
+    byte_map = _TwoByteImageMap if n <= 16 else _ByteImageMap
+    return [byte_map(table) for table in dfa.letters]
 
 
 def _steppers(dfa, letter_indices):
-    """One subset-image map per letter, indexed by mask: the full table up to
-    the table limit, a byte-sliced map above it.  Every search that may
-    expand many sets gets its maps here; they are built per call, not cached."""
-    tables = subset_image_tables(dfa)
-    if tables is not None:
-        return [tables[j] for j in letter_indices]
-    byte_map = _TwoByteImageMap if dfa.n <= 16 else _ByteImageMap
-    return [byte_map(dfa.letters[j]) for j in letter_indices]
+    """The cached subset-image maps of the given letters, in order.  Every
+    search that may expand many sets gets its maps here."""
+    maps = subset_image_tables(dfa)
+    return [maps[j] for j in letter_indices]
 
 
 def _normalize_letters(dfa, allowed_letters):

@@ -93,7 +93,7 @@ class TestBasicVerbs:
         assert code == 0
         assert out.startswith("digraph power")
         assert '"{1,2,3,4}" -> "{2,3,4}" [label="b" style="bold"]' in out
-        # Above the 13-state subset-table limit the graph is built per set.
+        # Above 8 states the graph's images come from byte-sliced maps.
         n = 14
         cycle = [q % n + 1 for q in range(1, n + 1)]
         merge = [2] + list(range(2, n + 1))

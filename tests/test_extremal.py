@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from synchrokit import (
@@ -19,7 +21,7 @@ from synchrokit import (
     serialize_dfa,
     shortest_compressing_word,
 )
-from synchrokit import extremal, structure
+from synchrokit import extremal, power, structure
 from synchrokit.extremal import classify_greedy_letter
 
 from conftest import A_REPLACED_FIXTURE
@@ -29,6 +31,8 @@ from oracles import (
     brute_hypothesis_greedy,
     random_dfas,
 )
+from test_harness import _count_calls, _rebind, _relabelled
+from test_power import _full_tables
 
 
 class TestHypothesisGreedy:
@@ -180,6 +184,53 @@ class TestConditionChecks:
             assert assert_equivalence(dfa).consistent
             checked += 1
         assert checked >= 100
+
+
+def _embedded(text, n):
+    """The automaton of ``text`` with states up to n added, fixed by every
+    letter: sizes shift by the added count, so the conditions, witnesses and
+    qualifying words stay those of the small automaton."""
+    small = load_dfa(text)
+    return Dfa.from_tables([[q + 1 for q in table] + list(range(small.n + 1, n + 1))
+                            for table in small.letters])
+
+
+def _greedy_outcomes(dfas):
+    return [
+        (assert_equivalence(dfa).to_json(), check_condition_1(dfa), check_condition_2(dfa),
+         check_condition_3(dfa), check_condition_4(dfa))
+        for dfa in dfas
+    ]
+
+
+class TestConditionsOnMaps:
+    """Above 8 states the conditions read byte-sliced maps; they must give
+    what the full subset-image tables give."""
+
+    def test_same_outcomes_as_the_full_tables(self, monkeypatch):
+        rng = random.Random(13)
+        dfas = []
+        for n in range(9, 14):
+            for identity in (True, False):
+                dfa = build_extremal_dfa(n, identity)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                dfas += [dfa, Dfa(n, _relabelled(dfa.letters, perm), dfa.names)]
+            dfas += [d for d in random_dfas(40 + n, 4, n, 2) if hypothesis_greedy(d)]
+            # Late failures: (4) through the deviating word, (1) through a
+            # fat 4-letter prefix (the frozen witnesses above).
+            dfas += [_embedded("5 2\n2 4 5 1 5\n2 4 5 3 1\n", n),
+                     _embedded("4 2\n1 1 1 4\n4 1 1 2\n", n)]
+        called = {f.__name__: _count_calls(monkeypatch, f) for f in (
+            extremal._condition_1_witness, extremal._condition_4_witness, extremal._deviating_word)}
+        outcomes = _greedy_outcomes(dfas)
+        assert all(called.values()) and len(called["_deviating_word"]) == 2 * 5
+        assert [type(images[0]) for images in map(power.subset_image_tables, dfas)] == [
+            power._TwoByteImageMap] * len(dfas)
+        assert sum(not out[0]["cond1"] for out in outcomes) >= 20
+        _rebind(monkeypatch, power.subset_image_tables, _full_tables)
+        assert _greedy_outcomes(dfas) == outcomes
+        assert type(power.subset_image_tables(dfas[0])[0]) is list
 
 
 class TestLetterClasses:

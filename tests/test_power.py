@@ -10,6 +10,7 @@ from synchrokit import (
     Dfa,
     StateSet,
     apply_word,
+    assert_equivalence,
     build_extremal_dfa,
     format_word,
     greedy_word,
@@ -191,6 +192,11 @@ def _bit_walk_steppers(dfa, letter_indices):
     return [_ImageMap(dfa.letters[j]) for j in letter_indices]
 
 
+def _full_tables(dfa):
+    """``subset_image_tables`` as full 2^n-entry tables at every n."""
+    return [power.subset_images_for_table(dfa.n, table) for table in dfa.letters]
+
+
 class TestByteImageMap:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 14, 15, 16, 17, 31, 64])
     def test_matches_the_bit_walk(self, n):
@@ -205,10 +211,28 @@ class TestByteImageMap:
                 assert [image[m] for m in masks] == [walk[m] for m in masks]
 
     def test_steppers_above_the_table_limit(self):
-        for n, kind in ((14, power._TwoByteImageMap), (16, power._TwoByteImageMap),
-                        (17, power._ByteImageMap)):
-            assert [type(image) for image in power._steppers(_cerny(n), (0, 1))] == [kind, kind]
-        assert power._steppers(_cerny(13), (1,)) == [power.subset_image_tables(_cerny(13))[1]]
+        # One cached map per letter at every n: the full table up to 8 states
+        # (the single block of a byte-sliced map), byte-sliced above.
+        for n in range(1, 18):
+            (dfa,) = random_dfas(n, 1, n, 2)
+            maps = power.subset_image_tables(dfa)
+            assert maps is not None and len(maps) == 2
+            if n <= 8:
+                assert maps == [power.subset_images_for_table(n, table) for table in dfa.letters]
+            else:
+                kind = power._TwoByteImageMap if n <= 16 else power._ByteImageMap
+                assert [type(image) for image in maps] == [kind, kind]
+            picked = power._steppers(dfa, (1, 0))
+            assert len(picked) == 2 and picked[0] is maps[1] and picked[1] is maps[0]
+
+    def test_no_public_request_builds_a_big_table(self, monkeypatch):
+        power.subset_image_tables.cache_clear()
+        built = _count_calls(monkeypatch, power.subset_images_for_table)
+        cerny = _cerny(13)
+        sync_pipeline(cerny)
+        assert_equivalence(build_extremal_dfa(13))
+        shortest_compressing_word(cerny, cerny.full_set(), 1)
+        assert built and max(n for n, _table in built) <= 8
 
     @pytest.mark.parametrize("n", [14, 15, 16])
     def test_relabelled_cerny_needs_n_minus_1_squared(self, n):
@@ -236,6 +260,14 @@ class TestByteImageMap:
         assert len(dfas) > 4
         words = [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
         _rebind(monkeypatch, power._steppers, _bit_walk_steppers)
+        assert words == [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
+
+    def test_greedy_and_pipeline_words_match_the_full_tables(self, monkeypatch):
+        dfas = [_cerny(n) for n in range(9, 14)] + [_relabelled_cerny(n, n) for n in range(9, 14)]
+        dfas += [d for n in range(9, 14) for d in random_dfas(960 + n, 3, n, 2) if rank(d) == 1]
+        assert len(dfas) > 10
+        words = [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
+        _rebind(monkeypatch, power.subset_image_tables, _full_tables)
         assert words == [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
 
 
