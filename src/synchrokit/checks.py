@@ -18,11 +18,23 @@ independent reference is the brute-force code in the test suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .automaton import Dfa, serialize_dfa
 from .construct import _corank3_cases, _pipeline
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
-from .power import _bfs, _depth, _first_le, _rank_search, _size_masks, subset_images_for_table
+from .power import _bfs, _depth, _first_le, _rank_search, subset_images_for_table
 from .structure import _anchor_pair, _hypothesis_holds, certify, classify_pinlem
+
+
+@lru_cache(maxsize=None)
+def _size_masks(n):
+    """Masks over subset indices, one per subset size: the whole subset
+    lattice, which only the sweep kernel enumerates."""
+    exact = [0] * (n + 1)
+    for S in range(1 << n):
+        exact[S.bit_count()] |= 1 << S
+    return exact
 
 
 class Auto:
@@ -76,7 +88,7 @@ class Auto:
         """Mask of the sets of ``size`` states that some word of at most
         ``steps`` >= 1 letters takes to a smaller set: a backward search over
         the sets of ``size`` states alone, since images never grow."""
-        rest = _size_masks(self.n)[0][size]
+        rest = _size_masks(self.n)[size]
         done = 0
         sources = {}  # layer set -> mask of the layer sets one letter takes to it
         while rest:
@@ -173,7 +185,7 @@ def check_franklpin(auto, stats):
         return False, None
     for c in range(1, n - auto.rank + 1):
         bound = c * (c + 1) // 2
-        layer = _size_masks(n)[0][n - c + 1]
+        layer = _size_masks(n)[n - c + 1]
         missing = layer & ~auto.backward_within(n - c + 1, bound)
         if missing:
             R = (missing & -missing).bit_length() - 1

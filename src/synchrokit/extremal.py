@@ -8,10 +8,11 @@ to n-2 at step 4; (3) under some renumbering every letter is the
 identity on {1,2,3,4}, the 4-cycle 1->2->3->4->1, or the {1,2}-merge
 fixing 3 and 4; (4) every qualifying word has length exactly 9 and the
 fixed size profile (n-1 four times, n-2 four times, n-3).  Conditions
-(1) and (4), and the hypothesis, are decided by one procedure on layers
-of subset masks (``_greedy_flags``) that the verification sweep shares;
-(2) and (3) are decided independently of it and of each other.  The
-module asserts the equivalence and builds the extremal witness family.
+(1) and (4), and the hypothesis, are decided by the searches that spell
+their witnesses (``_greedy_flags``, shared with the verification sweep);
+none of them goes beyond 9 letters, so they take any n.  (2) and (3) are
+decided independently of them and of each other.  The module asserts
+the equivalence and builds the extremal witness family.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from dataclasses import dataclass
 
 from .automaton import Dfa, _ImageMap, apply_letter, apply_word, default_names
 from .errors import HypothesisFailed, PreconditionFailed
-from .power import (
-    _TABLE_LIMIT,
-    _bfs,
-    _size_masks,
-    _steppers,
-    _word_to,
-    rank,
-    subset_image_tables,
-)
+from .power import _bfs, _depth, _word_to, rank, subset_image_tables
 from .structure import _adb1_shape, certify
 
 __all__ = [
@@ -99,75 +92,30 @@ def _profile(n):
 
 
 def _greedy_flags(n, tables):
-    """(hypothesis, cond1, cond4) decided on layers of subset-index masks.
+    """(hypothesis, cond1, cond4), decided by the searches that spell their
+    witnesses on the per-letter subset-image maps ``tables``.
 
-    ``tables`` are the per-letter subset-image maps; layer t is the mask
-    of the subset indices reached by the words of length t.  cond1 and
-    cond4 only mean something when the hypothesis holds (both are True
-    otherwise).  Layering stops at the first depth where a set of size
-    exactly n-3 appears, which settles all three flags for almost every
-    automaton.  The sweep kernel and the public checks both decide here.
+    One search from the full set, stopped at the first set of size exactly
+    n-3 within 9 letters, decides the hypothesis; cond1 and cond4 only mean
+    something when it holds (both are True otherwise).  The depth t of that
+    set settles almost every automaton: (1) fails when t <= 3 and (4) when
+    t <= 8.  Otherwise (1) fails exactly when ``_fat_prefix_word`` finds a
+    word, and (4) when ``_deviating_word`` does.  No search goes beyond 9
+    letters, so there is no cap on n.  The sweep kernel and the public
+    checks both decide here.
     """
-
-    def step(R):
-        nr = 0
-        while R:
-            low = R & -R
-            R ^= low
-            S = low.bit_length() - 1
-            for table in tables:
-                nr |= 1 << table[S]
-        return nr
-
-    target = n - 3
-    if target < 1:
+    parent, hit = _bfs(tables, (1 << n) - 1, lambda T: T.bit_count() == n - 3, 9)
+    if hit is None:
         return False, True, True
-    exact, le = _size_masks(n)
-    ex = exact[target]
-    start = 1 << ((1 << n) - 1)
-    R = start
-    for hit_t in range(1, 10):
-        R = step(R)
-        if hit_t == 4:
-            R4 = R
-        if R & ex:
-            break
-    else:
-        return False, True, True
-    viol1 = hit_t <= 3
-    viol4 = hit_t <= 8
-    if not viol1:
-        # A qualifying word may still have a short fat prefix: some
-        # length-4 image of size <= n-2 that reaches size n-3 within
-        # five more letters.
-        F = R4 & le[n - 2]
-        for _ in range(5):
-            if F & ex:
-                break
-            F = step(F)
-        viol1 = bool(F & ex)
-    if not viol4:
-        profile = _profile(n)
-        P = start
-        N = 0
-        for t in range(1, 10):
-            pm = exact[profile[t]]
-            nP = step(P)
-            nN = step(N) if N else 0
-            N = nN | (nP & ~pm)
-            P = nP & pm
-        viol4 = bool(N & ex)
-    return True, not viol1, not viol4
+    t = _depth(parent, hit)
+    cond1 = t > 3 and _fat_prefix_word(n, tables) is None
+    cond4 = t > 8 and _deviating_word(n, tables) is None
+    return True, cond1, cond4
 
 
 def _decide(dfa):
-    """(subset-image maps, greedy flags).  Capped at the table limit because
-    ``_size_masks`` enumerates the subset lattice; the layers and witnesses
-    read their images from the cached maps, byte-sliced above 8 states."""
-    if dfa.n > _TABLE_LIMIT:
-        raise ValueError(
-            f"condition checks enumerate the subset lattice and are capped at n <= {_TABLE_LIMIT}"
-        )
+    """(subset-image maps, greedy flags); the maps are the cached ones,
+    byte-sliced above 8 states, so the decision and the witnesses share them."""
     tables = subset_image_tables(dfa)
     return tables, _greedy_flags(dfa.n, tables)
 
@@ -192,33 +140,33 @@ def check_condition_1(dfa):
     (holds, violating word or None).
     """
     tables, (_, cond1, _) = _decide(dfa)
-    return (True, None) if cond1 else (False, _condition_1_witness(dfa, tables))
+    return (True, None) if cond1 else (False, _condition_1_witness(dfa.n, tables))
 
 
-def _condition_1_witness(dfa, tables):
-    """A qualifying word breaking condition (1), which must fail."""
-    n = dfa.n
-    full = (1 << n) - 1
-    word = _exact_word_within(tables, full, n - 3, 3)
-    if word is not None:
-        return word
-    # Every qualifying word has length >= 4, so the failure is a 4-prefix
-    # of size <= n-2 that still reaches size n-3 within five letters; the
-    # flags guarantee this loop finds one.
-    for prefix in itertools.product(range(dfa.k), repeat=4):
-        S = full
+def _condition_1_witness(n, tables):
+    """A qualifying word breaking condition (1), or None: the least shortest
+    qualifying word when it has at most 3 letters, else the fat-prefix word."""
+    word = _exact_word_within(tables, (1 << n) - 1, n - 3, 3)
+    return _fat_prefix_word(n, tables) if word is None else word
+
+
+def _fat_prefix_word(n, tables):
+    """The least 4-letter prefix of size <= n-2 that reaches size n-3 within
+    five more letters, completed by its least shortest such word, or None."""
+    for prefix in itertools.product(range(len(tables)), repeat=4):
+        S = (1 << n) - 1
         for j in prefix:
             S = tables[j][S]
         if S.bit_count() <= n - 2:
             completion = _exact_word_within(tables, S, n - 3, 5)
             if completion is not None:
                 return prefix + completion
+    return None
 
 
-def _deviating_word(dfa, tables):
+def _deviating_word(n, tables):
     """A length-9 word to size n-3 whose size profile leaves the forced
-    one, spelled from the layers of on-profile and deviated sets."""
-    n = dfa.n
+    one, spelled from the layers of on-profile and deviated sets, or None."""
     profile = _profile(n)
     on_profile = {(1 << n) - 1: None}
     deviated = {}
@@ -229,18 +177,20 @@ def _deviating_word(dfa, tables):
         new_on = {}
         new_dev = {}
         for S in on_profile:
-            for j in range(dfa.k):
-                T = tables[j][S]
+            for j, table in enumerate(tables):
+                T = table[S]
                 if T.bit_count() == profile[t]:
                     new_on.setdefault(T, (S, j, 0))
                 else:
                     new_dev.setdefault(T, (S, j, 0))
         for S in deviated:
-            for j in range(dfa.k):
-                new_dev.setdefault(tables[j][S], (S, j, 1))
+            for j, table in enumerate(tables):
+                new_dev.setdefault(table[S], (S, j, 1))
         on_profile, deviated = new_on, new_dev
         trace.append((on_profile, deviated))
-    node = next(S for S in deviated if S.bit_count() == n - 3)
+    node = next((S for S in deviated if S.bit_count() == n - 3), None)
+    if node is None:
+        return None
     side = 1
     word = []
     for t in range(9, 0, -1):
@@ -253,16 +203,14 @@ def _deviating_word(dfa, tables):
 def check_condition_4(dfa):
     """Every qualifying word has length 9 and the fixed 4+4+1 size profile."""
     tables, (_, _, cond4) = _decide(dfa)
-    return (True, None) if cond4 else (False, _condition_4_witness(dfa, tables))
+    return (True, None) if cond4 else (False, _condition_4_witness(dfa.n, tables))
 
 
-def _condition_4_witness(dfa, tables):
-    """A qualifying word breaking condition (4), which must fail."""
-    word = _exact_word_within(tables, (1 << dfa.n) - 1, dfa.n - 3, 8)
-    if word is None:
-        # Every qualifying word has length 9; one of them leaves the profile.
-        word = _deviating_word(dfa, tables)
-    return word
+def _condition_4_witness(n, tables):
+    """A qualifying word breaking condition (4), or None: the least shortest
+    qualifying word when it has at most 8 letters, else a deviating one."""
+    word = _exact_word_within(tables, (1 << n) - 1, n - 3, 8)
+    return _deviating_word(n, tables) if word is None else word
 
 
 def _certificate(dfa):
@@ -316,15 +264,14 @@ def _condition_2(dfa, cert):
         ranked.extend(s for s in range(dfa.k) if s not in ranked)
         return ranked
 
-    target = n - 3
-    images = _steppers(dfa, range(dfa.k))
+    images = subset_image_tables(dfa)
     for b in b_candidates:
         for a in a_candidates:
+            ba = images[a][images[b][(1 << n) - 1]]
             for w3 in w3_order():
-                word = (b, a, w3, b)
-                S = apply_word(dfa, dfa.full_set(), word).mask
-                if S.bit_count() <= n - 2 and _exact_word_within(images, S, target, 5) is not None:
-                    return Condition2Result(False, cert, word)
+                S = images[b][images[w3][ba]]
+                if S.bit_count() <= n - 2 and _exact_word_within(images, S, n - 3, 5) is not None:
+                    return Condition2Result(False, cert, (b, a, w3, b))
     return Condition2Result(True, cert, None)
 
 
@@ -398,10 +345,10 @@ def assert_equivalence(dfa):
         cond2=res2.holds,
         cond3=renum3 is not None,
         cond4=cond4,
-        witness1=None if cond1 else _condition_1_witness(dfa, tables),
+        witness1=None if cond1 else _condition_1_witness(dfa.n, tables),
         witness2=res2.witness,
         renumbering3=renum3,
-        witness4=None if cond4 else _condition_4_witness(dfa, tables),
+        witness4=None if cond4 else _condition_4_witness(dfa.n, tables),
     )
 
 

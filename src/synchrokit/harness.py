@@ -19,7 +19,7 @@ from functools import partial
 
 from .automaton import MAX_STATES, Dfa
 from .checks import CHECKS, THEOREM_IDS, Auto, check_corank3
-from .power import _TABLE_LIMIT, subset_images_for_table
+from .power import subset_images_for_table
 from .errors import (BudgetExceeded, CertificateContradiction, ConstructionContradiction,
                      TheoremViolation)
 
@@ -35,6 +35,9 @@ __all__ = [
 
 _BLOCK = 16384
 _DEFAULT_BUDGET = 10_000_000
+# The sweep kernel works on full subset-image tables, which enumerate the
+# whole subset lattice, so sweeps are capped at this many states.
+_TABLE_LIMIT = 13
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class EnumerationScope:
     work_budget: int = _DEFAULT_BUDGET
 
     def __post_init__(self):
-        # The sweep kernel works on full subset-image tables only.
         if not 1 <= self.n <= _TABLE_LIMIT:
             raise ValueError(f"state count {self.n} out of range 1..{_TABLE_LIMIT} for a sweep")
         if self.k < 1:

@@ -32,10 +32,6 @@ __all__ = [
     "greedy_word",
 ]
 
-# The code that enumerates the whole subset lattice -- the verification
-# sweeps and the greedy-condition layers -- is capped at this many states.
-_TABLE_LIMIT = 13
-
 
 @dataclass(frozen=True)
 class CompressionResult:
@@ -103,20 +99,6 @@ class _TwoByteImageMap(_ByteImageMap):
     def __getitem__(self, mask):
         low, high = self.blocks
         return low[mask & 255] | high[mask >> 8]
-
-
-@lru_cache(maxsize=None)
-def _size_masks(n):
-    """(exact, le): masks over subset indices grouped by subset size."""
-    exact = [0] * (n + 1)
-    for S in range(1 << n):
-        exact[S.bit_count()] |= 1 << S
-    le = [0] * (n + 1)
-    acc = 0
-    for s in range(n + 1):
-        acc |= exact[s]
-        le[s] = acc
-    return exact, le
 
 
 @lru_cache(maxsize=128)

@@ -19,6 +19,7 @@ import contextlib
 import io
 import pathlib
 import random
+import re
 import tempfile
 
 from synchrokit.cli import main
@@ -96,5 +97,14 @@ def write_transcript():
     TRANSCRIPT.write_text(render_transcript())
 
 
+def _blocks(transcript):
+    """The transcript split before each ``$ synchrokit ...`` command line."""
+    return re.split(r"(?m)^(?=\$ synchrokit )", transcript)
+
+
 def test_cli_matches_transcript():
-    assert render_transcript() == TRANSCRIPT.read_text()
+    rendered, expected = render_transcript(), TRANSCRIPT.read_text()
+    # Name the first differing block, and diff that block alone.
+    for new, old in zip(_blocks(rendered), _blocks(expected)):
+        assert new == old, f"first differing block: {old.splitlines()[0]}"
+    assert rendered == expected

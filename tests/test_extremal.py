@@ -31,7 +31,8 @@ from oracles import (
     brute_hypothesis_greedy,
     random_dfas,
 )
-from test_harness import _count_calls, _rebind, _relabelled
+from test_construct import _cerny
+from test_harness import _assert_greedy_matches_oracles, _count_calls, _rebind, _relabelled
 from test_power import _full_tables
 
 
@@ -195,6 +196,10 @@ def _embedded(text, n):
                             for table in small.letters])
 
 
+# The frozen late failures of (4) and of (1) (see test_frozen_witnesses).
+_LATE_FAILURES = ("5 2\n2 4 5 1 5\n2 4 5 3 1\n", "4 2\n1 1 1 4\n4 1 1 2\n")
+
+
 def _greedy_outcomes(dfas):
     return [
         (assert_equivalence(dfa).to_json(), check_condition_1(dfa), check_condition_2(dfa),
@@ -222,15 +227,48 @@ class TestConditionsOnMaps:
             dfas += [_embedded("5 2\n2 4 5 1 5\n2 4 5 3 1\n", n),
                      _embedded("4 2\n1 1 1 4\n4 1 1 2\n", n)]
         called = {f.__name__: _count_calls(monkeypatch, f) for f in (
-            extremal._condition_1_witness, extremal._condition_4_witness, extremal._deviating_word)}
+            extremal._condition_1_witness, extremal._condition_4_witness)}
+        deviating = extremal._deviating_word
+        deviations = []
+
+        def recording(n, tables):
+            deviations.append((n, deviating(n, tables)))
+            return deviations[-1][1]
+
+        _rebind(monkeypatch, deviating, recording)
         outcomes = _greedy_outcomes(dfas)
-        assert all(called.values()) and len(called["_deviating_word"]) == 2 * 5
+        # Every automaton whose qualifying words all have 9 letters runs the
+        # deviating-word search; only the embedded late failure of (4) has a
+        # deviating word, abbbbabba, and it has it at every n.
+        assert all(called.values()) and {(n, word) for n, word in deviations if word} == {
+            (n, (0, 1, 1, 1, 1, 0, 1, 1, 0)) for n in range(9, 14)}
         assert [type(images[0]) for images in map(power.subset_image_tables, dfas)] == [
             power._TwoByteImageMap] * len(dfas)
         assert sum(not out[0]["cond1"] for out in outcomes) >= 20
         _rebind(monkeypatch, power.subset_image_tables, _full_tables)
         assert _greedy_outcomes(dfas) == outcomes
         assert type(power.subset_image_tables(dfas[0])[0]) is list
+
+
+class TestNoStateCap:
+    """No search of the greedy decision goes beyond 9 letters, so the
+    conditions take automata of any size."""
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_decision_matches_the_oracles(self, n):
+        rng = random.Random(n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cerny = _cerny(n)
+        dfas = [Dfa(n, _relabelled(cerny.letters, perm), cerny.names),
+                build_extremal_dfa(n), build_extremal_dfa(n, False)]
+        dfas += [_embedded(text, n) for text in _LATE_FAILURES] + random_dfas(60 + n, 3, n, 2)
+        for dfa in dfas:
+            _assert_greedy_matches_oracles(dfa)
+
+    def test_extremal_family_at_64_states(self):
+        report = assert_equivalence(build_extremal_dfa(64))
+        assert report.consistent and report.conditions == (True, True, True, True)
 
 
 class TestLetterClasses:
