@@ -12,8 +12,11 @@ the pin reach sets), the greedy conditions (1) and (4) are decided by
 ``extremal._greedy_flags``, and the pipeline check runs
 ``construct._pipeline``, the core of ``sync_pipeline``, on the tables
 and the rank search's parent links.  The only searches written here are
-``Auto.backward_within`` and the prefix-tree walk of ``check_pin``.  The
-independent reference is the brute-force code in the test suite.
+``Auto.backward_within`` and the prefix-tree walk of ``check_pin``, which
+searches for a bridge only at the one corank that can fail,
+c = n - |Q.w| + 1, and only when the word's function permutes its image.
+The independent reference is the brute-force code in the test suite
+(``brute_pin`` for the pin check).
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ class Auto:
         """(hypothesis, cond1, cond4) of the greedy conditions, memoized;
         decided by the same procedure as the public condition checks."""
         if self._greedy_flags is None:
-            self._greedy_flags = _greedy_flags(self.n, self.imgs)
+            self._greedy_flags = _greedy_flags(self.n, self.imgs)[:3]
         return self._greedy_flags
 
     # -- objects for the slow path ---------------------------------------
@@ -334,14 +337,23 @@ _PIN_WORD_LEN = 6
 def check_pin(auto, stats):
     """Extension-bound check over all words of up to ``_PIN_WORD_LEN`` letters.
 
+    For a word w with state function f and image A = Q.w of a states, the
+    bound asks, for every feasible corank c (rank <= n-c) with a <= n-c+1,
+    for a bridge u of at most c letters with |A.u.f| <= n-c.  Only
+    c* = n-a+1 can fail: for every smaller c, a <= n-c and the empty
+    bridge works, since |A.f| <= a.  c* is feasible only when rank < a,
+    and even then the empty bridge works unless f is injective on A, that
+    is, unless f permutes A.  Only then are the sets reachable from A
+    within c* letters searched, so c* is the only corank ever reported.
+
     Words are walked as a prefix tree deduplicated on the induced state
     function: words acting identically have identical continuations, so a
     repeated function prunes its whole subtree.
     """
     n = auto.n
-    if auto.rank > n - 1:
+    rank = auto.rank
+    if rank > n - 1:
         return False, None
-    feasible = [c for c in range(1, n) if auto.rank <= n - c]
     identity = tuple(range(n))
     seen = {identity}
     frontier = [(identity, ())]
@@ -349,39 +361,31 @@ def check_pin(auto, stats):
     depth = 0
     while True:
         for func, word in frontier:
+            image = set(func)
+            a_size = len(image)
+            if rank >= a_size or len(set(map(func.__getitem__, image))) < a_size:
+                continue
+            c = n - a_size + 1
             A = 0
-            for q in range(n):
-                A |= 1 << func[q]
-            a_size = A.bit_count()
-            for c in feasible:
-                if a_size > n - c + 1:
-                    continue
-                target = n - c
-                ok = False
-                for S in _reach_within(auto, A, c, reach_cache):
-                    image = 0
-                    m = S
-                    while m:
-                        low = m & -m
-                        image |= 1 << func[low.bit_length() - 1]
-                        m ^= low
-                    if image.bit_count() <= target:
-                        ok = True
-                        break
-                if not ok:
-                    return True, {
-                        "claim": "pin",
-                        "c": c,
-                        "w": list(word),
-                        "start_size": a_size,
-                    }
+            for q in image:
+                A |= 1 << q
+            for S in _reach_within(auto, A, c, reach_cache):
+                moved = 0
+                while S:
+                    low = S & -S
+                    moved |= 1 << func[low.bit_length() - 1]
+                    S ^= low
+                if moved.bit_count() < a_size:
+                    break
+            else:
+                return True, {"claim": "pin", "c": c, "w": list(word), "start_size": a_size}
         depth += 1
         if depth > _PIN_WORD_LEN:
             break
         nxt = []
         for func, word in frontier:
             for j, table in enumerate(auto.tables):
-                child = tuple(table[func[q]] for q in range(n))
+                child = tuple(map(table.__getitem__, func))
                 if child not in seen:
                     seen.add(child)
                     nxt.append((child, word + (j,)))

@@ -92,8 +92,8 @@ def _profile(n):
 
 
 def _greedy_flags(n, tables):
-    """(hypothesis, cond1, cond4), decided by the searches that spell their
-    witnesses on the per-letter subset-image maps ``tables``.
+    """(hypothesis, cond1, cond4, words), decided by the searches that spell
+    their witnesses on the per-letter subset-image maps ``tables``.
 
     One search from the full set, stopped at the first set of size exactly
     n-3 within 9 letters, decides the hypothesis; cond1 and cond4 only mean
@@ -102,15 +102,18 @@ def _greedy_flags(n, tables):
     t <= 8.  Otherwise (1) fails exactly when ``_fat_prefix_word`` finds a
     word, and (4) when ``_deviating_word`` does.  No search goes beyond 9
     letters, so there is no cap on n.  The sweep kernel and the public
-    checks both decide here.
+    checks both decide here.  ``words`` is None without the hypothesis,
+    else (parent, hit, fat, deviating): the first search's parent links and
+    hit, and the late searches' words (None when not run or not found),
+    from which the witnesses are spelled without searching again.
     """
     parent, hit = _bfs(tables, (1 << n) - 1, lambda T: T.bit_count() == n - 3, 9)
     if hit is None:
-        return False, True, True
+        return False, True, True, None
     t = _depth(parent, hit)
-    cond1 = t > 3 and _fat_prefix_word(n, tables) is None
-    cond4 = t > 8 and _deviating_word(n, tables) is None
-    return True, cond1, cond4
+    fat = _fat_prefix_word(n, tables) if t > 3 else None
+    deviating = _deviating_word(n, tables) if t > 8 else None
+    return True, t > 3 and fat is None, t > 8 and deviating is None, (parent, hit, fat, deviating)
 
 
 def _decide(dfa):
@@ -139,15 +142,17 @@ def check_condition_1(dfa):
     Qualifying means length <= 9 with image of size exactly n-3.  Returns
     (holds, violating word or None).
     """
-    tables, (_, cond1, _) = _decide(dfa)
-    return (True, None) if cond1 else (False, _condition_1_witness(dfa.n, tables))
+    tables, (_, cond1, _, words) = _decide(dfa)
+    return (True, None) if cond1 else (False, _condition_1_witness(tables, words))
 
 
-def _condition_1_witness(n, tables):
-    """A qualifying word breaking condition (1), or None: the least shortest
-    qualifying word when it has at most 3 letters, else the fat-prefix word."""
-    word = _exact_word_within(tables, (1 << n) - 1, n - 3, 3)
-    return _fat_prefix_word(n, tables) if word is None else word
+def _condition_1_witness(tables, words):
+    """The qualifying word breaking condition (1), given the decision's
+    ``words`` (see ``_greedy_flags``) when it fails: the fat-prefix word,
+    or where none was searched, the least shortest qualifying word, which
+    has at most 3 letters."""
+    parent, hit, fat, _ = words
+    return _word_to(tables, range(len(tables)), parent, hit) if fat is None else fat
 
 
 def _fat_prefix_word(n, tables):
@@ -202,15 +207,16 @@ def _deviating_word(n, tables):
 
 def check_condition_4(dfa):
     """Every qualifying word has length 9 and the fixed 4+4+1 size profile."""
-    tables, (_, _, cond4) = _decide(dfa)
-    return (True, None) if cond4 else (False, _condition_4_witness(dfa.n, tables))
+    tables, (_, _, cond4, words) = _decide(dfa)
+    return (True, None) if cond4 else (False, _condition_4_witness(tables, words))
 
 
-def _condition_4_witness(n, tables):
-    """A qualifying word breaking condition (4), or None: the least shortest
-    qualifying word when it has at most 8 letters, else a deviating one."""
-    word = _exact_word_within(tables, (1 << n) - 1, n - 3, 8)
-    return _deviating_word(n, tables) if word is None else word
+def _condition_4_witness(tables, words):
+    """The qualifying word breaking condition (4), given the decision's
+    ``words`` when it fails: the deviating word, or where none was searched,
+    the least shortest qualifying word, which has at most 8 letters."""
+    parent, hit, _, deviating = words
+    return _word_to(tables, range(len(tables)), parent, hit) if deviating is None else deviating
 
 
 def _certificate(dfa):
@@ -334,7 +340,7 @@ def _condition_3(dfa, cert):
 
 def assert_equivalence(dfa):
     """Evaluate all four conditions; disagreement flags a counterexample."""
-    tables, (hyp, cond1, cond4) = _decide(dfa)
+    tables, (hyp, cond1, cond4, words) = _decide(dfa)
     if not hyp:
         raise HypothesisFailed("no word of length <= 9 reaches size exactly n-3")
     cert = _certificate(dfa)
@@ -345,10 +351,10 @@ def assert_equivalence(dfa):
         cond2=res2.holds,
         cond3=renum3 is not None,
         cond4=cond4,
-        witness1=None if cond1 else _condition_1_witness(dfa.n, tables),
+        witness1=None if cond1 else _condition_1_witness(tables, words),
         witness2=res2.witness,
         renumbering3=renum3,
-        witness4=None if cond4 else _condition_4_witness(dfa.n, tables),
+        witness4=None if cond4 else _condition_4_witness(tables, words),
     )
 
 

@@ -191,3 +191,39 @@ def quantified_clause_iii(dfa, renumbering):
                 if shrinks and image_size != size - 1:
                     return False
     return True
+
+
+def brute_pin(dfa, rank, max_word_len=6):
+    """Pin's extension bound by literal enumeration: the first (c, w,
+    start_size) it fails on, or None.
+
+    Words w of at most ``max_word_len`` letters go in length-lex order,
+    then every corank c in ascending order with rank <= n-c and
+    |Q.w| <= n-c+1; the bound holds for (w, c) when some bridge u of at
+    most c letters gives |Q.w.u.w| <= n-c.  Each word's state function is
+    composed letter by letter from its prefix's, so every word is
+    evaluated, also where words act alike.
+    """
+    n = dfa.n
+    states = range(1, n + 1)
+    step = [{q: dfa.delta(q, s) for q in states} for s in range(dfa.k)]
+
+    def image(subset, word):
+        for s in word:
+            subset = {step[s][q] for q in subset}
+        return subset
+
+    layer = [((), {q: q for q in states})]
+    for length in range(max_word_len + 1):
+        if length:
+            layer = [(w + (s,), {q: step[s][f[q]] for q in states})
+                     for w, f in layer for s in range(dfa.k)]
+        for w, f in layer:
+            start = set(f.values())
+            for c in range(1, n):
+                if rank > n - c or len(start) > n - c + 1:
+                    continue
+                if not any(len({f[q] for q in image(start, u)}) <= n - c
+                           for size in range(c + 1) for u in all_words(dfa.k, size)):
+                    return c, list(w), len(start)
+    return None

@@ -161,6 +161,16 @@ class TestConditionChecks:
         assert assert_equivalence(build_extremal_dfa(13)).consistent
         assert decided == [13]
 
+    def test_equivalence_searches_each_late_word_once(self, monkeypatch):
+        # The decision's deviating word is the witness of (4): the search
+        # runs once per call, not again for the witness.
+        calls = _count_calls(monkeypatch, extremal._deviating_word)
+        dfa = _embedded(_LATE_FAILURES[0], 9)
+        report = assert_equivalence(dfa)
+        assert len(calls) == 1
+        assert (report.cond4, report.witness4) == (False, (0, 1, 1, 1, 1, 0, 1, 1, 0))
+        assert check_condition_4(dfa) == (False, report.witness4) and len(calls) == 2
+
     def test_equivalence_extracts_the_certificate_once(self, monkeypatch):
         extracted = []
         original = structure.extract_certificate

@@ -26,7 +26,7 @@ from synchrokit import (
 )
 from synchrokit import construct, power, structure
 from synchrokit.cli import main
-from synchrokit.checks import CHECKS, Auto, _reach_within
+from synchrokit.checks import CHECKS, Auto, _reach_within, check_pin
 from synchrokit.extremal import (assert_equivalence, check_condition_1, check_condition_4,
                                  hypothesis_greedy)
 from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _si_tables
@@ -40,6 +40,7 @@ from oracles import (
     brute_condition_4,
     brute_least_word,
     brute_min_length_to_size,
+    brute_pin,
     brute_reach_within,
     qualifying_words,
     random_dfas,
@@ -431,6 +432,32 @@ class TestKernelAgainstPublic:
                     expected = {S.mask for S in brute_reach_within(dfa, StateSet(mask), steps)}
                     for _ in range(2):  # computed, then cached
                         assert set(_reach_within(auto, mask, steps, cache)) == expected
+
+    def test_pin_matches_brute_force(self):
+        # The check searches only c = n - |Q.w| + 1, and only when w's
+        # function permutes Q.w; the oracle tries every word, corank and
+        # bridge.  Claiming a rank below the true one makes coranks
+        # feasible that the automaton cannot reach, so the random samples
+        # also run the violation path, at every claimed rank.
+        population = [(dfa, rank(dfa)) for dfa in
+                      list(enumerate_dfas(scope(3, 2))) + list(enumerate_dfas(scope(2, 3)))]
+        for dfa in random_dfas(91, 100, 4, 2) + random_dfas(92, 30, 5, 2):
+            population += [(dfa, claimed) for claimed in range(1, dfa.n + 1)]
+        # Every letter a permutation: no bridge helps the empty word at c=1.
+        permutations = load_dfa("4 2\n2 3 4 1\n2 1 3 4\n")
+        population.append((permutations, 1))
+        violations = set()
+        for dfa, claimed in population:
+            auto = Auto(dfa.n, dfa.letters)
+            auto._forward = (None, claimed)
+            expected = brute_pin(dfa, claimed)
+            if expected is not None:
+                c, w, start_size = expected
+                expected = {"claim": "pin", "c": c, "w": w, "start_size": start_size}
+                violations.add((c, len(w)))
+            assert check_pin(auto, {}) == (claimed <= dfa.n - 1, expected)
+        assert check_pin(Auto(4, permutations.letters), {}) == (False, None)
+        assert (1, 0) in violations and len(violations) > 3
 
     def test_greedy_flags_match_public_checks(self):
         # The sweep flags and the public checks share one decision
