@@ -167,18 +167,24 @@ class Auto:
 # ---------------------------------------------------------------------------
 
 
-def check_corank3(auto, stats, include_c4=False):
+def check_corank3(auto, stats):
     n = auto.n
     if auto.rank > n - 1:
         return False, None
-    coranks = (1, 2, 3, 4) if include_c4 else (1, 2, 3)
-    for c in coranks:
+    for c in (1, 2, 3):
         if auto.rank <= n - c:
             dist = auto.dist_le(n - c)
             if dist is None or dist > c * c:
-                # For c = 4 this records a sought-after counterexample to
-                # the conjectured bound, not an implementation bug.
                 return True, {"claim": "corank3", "c": c, "bound": c * c, "dist": dist}
+    return True, None
+
+
+def check_corank4(auto, stats):
+    if auto.rank > auto.n - 4:
+        return False, None
+    dist = auto.dist_le(auto.n - 4)
+    if dist > 16:
+        return True, {"claim": "corank4", "c": 4, "bound": 16, "dist": dist}
     return True, None
 
 
@@ -409,5 +415,8 @@ CHECKS = {
     "greedy-stages": check_greedy_stages,
 }
 
-# The theorem ids, in report order.
+# The theorem ids, in report order: the proved bounds.
 THEOREM_IDS = tuple(CHECKS)
+# The c = 4 bound is a hunt for findings, not a theorem (Kari's 6-state automaton
+# breaks it, Bull. EATCS 73, 2001): kept out of the ids the benchmark sweeps.
+CHECKS["corank4"] = check_corank4

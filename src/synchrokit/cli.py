@@ -33,7 +33,7 @@ from .errors import (
     TheoremViolation,
 )
 from .extremal import assert_equivalence, build_extremal_dfa, pincor_check
-from .harness import _DEFAULT_BUDGET, THEOREM_IDS, EnumerationScope, run_check
+from .harness import _DEFAULT_BUDGET, CHECKS, EnumerationScope, run_check
 from .power import (
     _bfs,
     _steppers,
@@ -352,7 +352,6 @@ def cmd_verify(args):
         mode=mode,
         sample_count=args.samples,
         rng_seed=args.seed,
-        include_c4=args.include_c4,
         work_budget=args.budget,
     )
     report = run_check(args.theorem, scope, jobs=args.jobs)
@@ -442,15 +441,12 @@ def build_parser():
     p.add_argument("file")
 
     p = add("verify", cmd_verify, help="sweep a population checking one bound")
-    p.add_argument("theorem", choices=THEOREM_IDS)
+    p.add_argument("theorem", choices=CHECKS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--samples", type=int, help="random mode with this many draws")
     p.add_argument("--seed", type=int, help="seed for random mode")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--include-c4", action="store_true",
-                   help="corank3 only: also hunt for corank-4 counterexamples "
-                        "(long-running opt-in job; hits are findings, not bugs)")
     p.add_argument("--budget", type=int, default=_DEFAULT_BUDGET,
                    help="refuse exhaustive scopes larger than this")
 

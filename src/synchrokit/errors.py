@@ -51,7 +51,8 @@ class TheoremViolation(SynchroError):
 
 
 class BudgetExceeded(SynchroError):
-    """An exhaustive enumeration would exceed the configured work budget."""
+    """An exhaustive enumeration, or one power-automaton search, would exceed
+    its work budget; ``count`` is the size it reached."""
 
     def __init__(self, message, count):
         self.count = count

@@ -15,10 +15,9 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 from .automaton import MAX_STATES, Dfa
-from .checks import CHECKS, THEOREM_IDS, Auto, check_corank3
+from .checks import CHECKS, THEOREM_IDS, Auto
 from .power import subset_images_for_table
 from .errors import (BudgetExceeded, CertificateContradiction, ConstructionContradiction,
                      TheoremViolation)
@@ -49,7 +48,6 @@ class EnumerationScope:
     mode: str = "exhaustive"
     sample_count: int | None = None
     rng_seed: int | None = None
-    include_c4: bool = False
     work_budget: int = _DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -78,8 +76,6 @@ class EnumerationScope:
         if self.mode == "random":
             out["samples"] = self.sample_count
             out["seed"] = self.rng_seed
-        if self.include_c4:
-            out["include_c4"] = True
         return out
 
 
@@ -207,9 +203,6 @@ def _iter_block(scope, block_start, block_end):
 def _run_block(args):
     """Check one block; a fault a check raises is its violation there."""
     scope, theorem_ids, block_start, block_end = args
-    checks = {tid: CHECKS[tid] for tid in theorem_ids}
-    if scope.include_c4:
-        checks["corank3"] = partial(check_corank3, include_c4=True)
     counts = {tid: [0, 0] for tid in theorem_ids}  # checked, applicable
     violations = {tid: [] for tid in theorem_ids}
     stats = {tid: {} for tid in theorem_ids}
@@ -219,7 +212,7 @@ def _run_block(args):
         clock = time.perf_counter()
         for tid in theorem_ids:
             try:
-                applicable, detail = checks[tid](auto, stats[tid])
+                applicable, detail = CHECKS[tid](auto, stats[tid])
             except TheoremViolation as e:
                 applicable, detail = True, {"claim": tid, **e.detail}
             except CertificateContradiction as e:
@@ -253,13 +246,14 @@ def run_checks(theorem_ids, scope, jobs=1):
     Returns a dict theorem_id -> VerificationReport.  Identical scope and
     seed give byte-identical reports for any job count.  A report's
     ``wall_time`` is the time spent in its theorem's check, summed over
-    the blocks (and so over the workers when jobs > 1).
+    the blocks (and so over the workers when jobs > 1).  At most one
+    worker process runs per block.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for tid in theorem_ids:
         if tid not in CHECKS:
-            raise ValueError(f"unknown theorem id {tid!r} (known: {', '.join(THEOREM_IDS)})")
-    if scope.include_c4 and "corank3" not in theorem_ids:
-        raise ValueError("include_c4 applies to the corank3 check only")
+            raise ValueError(f"unknown theorem id {tid!r} (known: {', '.join(CHECKS)})")
     _check_budget(scope)
     total = scope.total
     blocks = [
@@ -267,10 +261,11 @@ def run_checks(theorem_ids, scope, jobs=1):
         for start in range(0, total, _BLOCK)
     ]
     reports = {tid: VerificationReport(theorem_id=tid, scope=scope) for tid in theorem_ids}
-    if jobs > 1 and len(blocks) > 1:
+    workers = min(jobs, len(blocks))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             partials = pool.imap_unordered(_run_block, blocks)
             for part in partials:
                 _fold(reports, *part)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .automaton import StateSet, _check_letter, _check_subset, _ImageMap
+from .errors import BudgetExceeded
 
 __all__ = [
     "CompressionResult",
@@ -132,6 +133,11 @@ def _normalize_letters(dfa, allowed_letters):
     return tuple(letters)
 
 
+# The most sets one search may discover.  No automaton of at most 18 states
+# has more nonempty subsets, and a sweep (at most 13 states) has 8,191.
+_SEARCH_BUDGET = 1 << 18
+
+
 def _bfs(images, start_mask, stop=None, max_depth=None):
     """Forward breadth-first search over the power automaton.
 
@@ -140,7 +146,8 @@ def _bfs(images, start_mask, stop=None, max_depth=None):
     ``parent`` maps every discovered set to the set it was first reached
     from (None for the start), in discovery order, and ``hit`` is the first
     discovered set satisfying ``stop`` -- the start included -- or None
-    when the search ends, or reaches ``max_depth``, without one.
+    when the search ends, or reaches ``max_depth``, without one.  Raises
+    ``BudgetExceeded`` once more than ``_SEARCH_BUDGET`` sets are discovered.
     """
     parent = {start_mask: None}
     if stop is not None and stop(start_mask):
@@ -150,6 +157,9 @@ def _bfs(images, start_mask, stop=None, max_depth=None):
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
         nxt = []
+        # Each expanded set adds at most one set per letter, so only a layer
+        # that could pass the budget is checked, after every expanded set.
+        careful = len(parent) + len(frontier) * len(images) > _SEARCH_BUDGET
         for S in frontier:
             for image in images:
                 T = image[S]
@@ -158,6 +168,12 @@ def _bfs(images, start_mask, stop=None, max_depth=None):
                     if stop is not None and stop(T):
                         return parent, T
                     nxt.append(T)
+            if careful and len(parent) > _SEARCH_BUDGET:
+                raise BudgetExceeded(
+                    f"power-automaton search discovered {len(parent)} sets, "
+                    f"budget is {_SEARCH_BUDGET}",
+                    count=len(parent),
+                )
         frontier = nxt
     return parent, None
 

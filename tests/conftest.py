@@ -23,6 +23,12 @@ CASE_FIXTURES = {
 # outside state onto 1, so it takes over the a role.
 A_REPLACED_FIXTURE = "4 3\nnames: a d b\n2 1 3 4\n2 3 1 4\n2 2 3 4\n"
 
+# A hit of the corank-4 hunt: its shortest words from the full set reach
+# sizes 5, 4, 3, 2, 1 in 1, 4, 9, 17 and 25 letters, so Pin's c^2 bound
+# fails at c = 4 (17 > 16) while c <= 3 hold.  Kept out of fixtures/, whose
+# files every CLI verb replays.
+CORANK4_HIT = "6 2\n3 2 1 1 5 6\n2 5 6 3 1 4\n"
+
 
 def fixture_path(name):
     return str(FIXTURES / name)

@@ -66,8 +66,10 @@ def corank3_small():
 
 @pytest.fixture(scope="session")
 def sweep5():
-    # corank3 rides in the same pass; each report's wall_time is its own.
-    return run_checks(("corank3",) + SWEEP5_IDS, EnumerationScope(n=5, k=2), jobs=JOBS)
+    # corank3 and the corank-4 hunt ride in the same pass; each report's
+    # wall_time is its own.
+    ids = ("corank3", "corank4") + SWEEP5_IDS
+    return run_checks(ids, EnumerationScope(n=5, k=2), jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +82,10 @@ def sweep_small():
 
 def test_criterion_01_corank_bound_sweeps(corank3_small, sweep5):
     corank3_n5 = sweep5["corank3"]
+    # The c = 4 bound is false in general (Kari's 6-state automaton), but no
+    # two-letter automaton on five states breaks it: the hunt applies to
+    # the 8,063,385 synchronizing ones and finds nothing.
+    corank4_n5 = sweep5["corank4"]
     small_violations = sum(r.violation_count for r in corank3_small.values())
     small_time = sum(r.wall_time for r in corank3_small.values())
     counts = {n: corank3_small[n].checked_count for n in corank3_small}
@@ -88,6 +94,7 @@ def test_criterion_01_corank_bound_sweeps(corank3_small, sweep5):
         and counts == {2: 16, 3: 729, 4: 65536}
         and corank3_n5.checked_count == 9765625
         and corank3_n5.violation_count == 0
+        and (corank4_n5.applicable_count, corank4_n5.violation_count) == (8063385, 0)
         and small_time < 10.0
         and corank3_n5.wall_time < 900.0
     )
@@ -95,7 +102,8 @@ def test_criterion_01_corank_bound_sweeps(corank3_small, sweep5):
         1,
         "corank3",
         ok,
-        f"n<=4 in {small_time:.1f}s, n=5 in {corank3_n5.wall_time:.0f}s, 0 violations",
+        f"n<=4 in {small_time:.1f}s, n=5 in {corank3_n5.wall_time:.0f}s, 0 violations; "
+        f"corank4 hunt at n=5: {corank4_n5.violation_count} hits",
     )
 
 

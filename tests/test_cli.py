@@ -4,10 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from synchrokit import apply_word, load_dfa, power, structure
+from synchrokit import apply_word, load_dfa, power, serialize_dfa, structure
 from synchrokit.cli import build_parser, main
 
 from conftest import A_REPLACED_FIXTURE, FIXTURES, fixture_path, load_fixture
+from oracles import random_dfas
 from test_harness import _count_calls
 
 
@@ -266,14 +267,26 @@ class TestVerifyVerb:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(("corank3", "--n", "3", "--seed", "5"), "random mode only"),
-         (("pin", "--n", "3", "--include-c4"), "corank3 check only")],
+        [(("corank3", "--n", "3", "--seed", "5"), "random mode only")],
     )
     def test_verify_inert_option_exits_1(self, capsys, argv, message):
         # An option that would leave the sweep unchanged is refused.
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+    def test_verify_corank4_hunt(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "corank4", "--n", "5", "--samples", "1500", "--seed", "3"
+        )
+        assert code == 0
+        assert out.startswith("corank4: checked 1500, ") and "violations 0" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_verify_jobs_below_1_exits_1(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "corank3", "--n", "3", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "jobs must be at least 1" in err
 
     def test_verify_budget(self, capsys):
         code, _, err = run_cli(
@@ -376,6 +389,14 @@ class TestErrors:
         code, out, err = run_cli(capsys, "apply", fixture_path("c4.dfa"), "ab", "--set", states)
         assert code == 1 and out == ""
         assert err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize("seed, n, k", [(0, 40, 6), (5, 64, 8)])
+    def test_greedy_conditions_search_budget_exits_1(self, capsys, tmp_path, seed, n, k):
+        path = tmp_path / "many_letters.dfa"
+        path.write_text(serialize_dfa(random_dfas(seed, 1, n, k)[0]))
+        code, out, err = run_cli(capsys, "greedy-conditions", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: power-automaton search discovered ")
 
     def test_unknown_verb_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from synchrokit import (
+    BudgetExceeded,
     Dfa,
     HypothesisFailed,
     PreconditionFailed,
@@ -46,6 +47,16 @@ class TestHypothesisGreedy:
     def test_matches_brute_force(self):
         for dfa in random_dfas(11, 60, 4, 2) + random_dfas(12, 25, 5, 2):
             assert hypothesis_greedy(dfa) == brute_hypothesis_greedy(dfa)
+
+    @pytest.mark.parametrize("seed, n, k", [(0, 40, 6), (5, 64, 8)])
+    def test_search_budget(self, seed, n, k):
+        # The 9-letter search on these many-letter automata discovers over a
+        # million sets; the search budget stops it with the count it reached.
+        (dfa,) = random_dfas(seed, 1, n, k)
+        with pytest.raises(BudgetExceeded, match=r"discovered \d+ sets") as err:
+            hypothesis_greedy(dfa)
+        assert err.value.count > power._SEARCH_BUDGET
+        assert str(err.value.count) in str(err.value)
 
 
 class TestConditionChecks:

@@ -32,7 +32,7 @@ from synchrokit.extremal import (assert_equivalence, check_condition_1, check_co
 from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _si_tables
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
-from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES, fixture_path
+from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES, CORANK4_HIT, fixture_path
 from oracles import (
     adb1_pairs,
     brute_closure,
@@ -174,8 +174,6 @@ class TestEnumeration:
             EnumerationScope(n=4, k=2, sample_count=10, rng_seed=3)
         with pytest.raises(ValueError, match="random mode only"):
             EnumerationScope(n=4, k=2, rng_seed=3)
-        with pytest.raises(ValueError, match="corank3 check only"):
-            run_checks(("pin", "franklpin"), EnumerationScope(n=2, k=1, include_c4=True))
 
 
 class TestRandomDfa:
@@ -231,7 +229,7 @@ class TestRandomDfa:
 
 class TestReports:
     def test_unknown_theorem(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="greedy-stages, corank4"):
             run_check("made-up", scope(2, 1))
 
     def test_all_ids_run_on_tiny_scope(self):
@@ -266,13 +264,55 @@ class TestReports:
         assert "wall_time_s" not in report.render()
         assert "wall_time_s" in str(report.to_json(include_timing=True))
 
-    def test_corank4_hunt_opt_in(self):
+    def test_corank4_hunt_random_n5(self):
         # The corank-4 bound fails in general, but not below six states, so
-        # the opt-in hunt must come back empty here.
-        sc = scope(5, 2, mode="random", sample_count=1500, rng_seed=3, include_c4=True)
-        report = run_check("corank3", sc)
-        assert report.violation_count == 0
-        assert report.scope.to_json()["include_c4"] is True
+        # the hunt must come back empty here.  At n=5 it applies to exactly
+        # the rank-1 automata, as the pipeline check does.
+        sc = scope(5, 2, mode="random", sample_count=1500, rng_seed=3)
+        reports = run_checks(("corank4", "pipeline"), sc)
+        assert reports["corank4"].violation_count == 0
+        assert reports["corank4"].applicable_count == reports["pipeline"].applicable_count > 0
+
+    def test_corank4_hunt_hit(self):
+        dfa = load_dfa(CORANK4_HIT)
+        auto = Auto(dfa.n, dfa.letters)
+        hit = {"claim": "corank4", "c": 4, "bound": 16, "dist": 17}
+        assert CHECKS["corank4"](auto, {}) == (True, hit)
+        assert CHECKS["corank3"](auto, {}) == (True, None)
+        full = dfa.full_set()
+        assert [shortest_compressing_word(dfa, full, m).length for m in (2, 1)] == [17, 25]
+        assert brute_min_length_to_size(dfa, full, 2, 17) == 17
+
+    def test_pool_has_at_most_one_worker_per_block(self, monkeypatch):
+        # A fake context records the pool sizes asked for and runs the
+        # blocks in this process, so no worker is ever started.
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, items):
+                return map(fn, items)
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        sc = scope(3, 2, mode="random", sample_count=3 * _BLOCK, rng_seed=5)
+        pooled = run_check("corank3", sc, jobs=1000)
+        assert sizes == [3]
+        assert pooled.render() == run_check("corank3", sc).render()
+        run_check("corank3", scope(2, 2), jobs=1000)  # one block: no pool
+        assert sizes == [3]
 
     def test_corank2_cert_counts_frozen(self):
         # Certified automata exist in the exhaustive populations; these
@@ -304,7 +344,7 @@ def _check_outcomes(n, tables):
     """(applicable, violation found, stats) of every check on one automaton."""
     auto = Auto(n, tables)
     outcomes = []
-    for tid in THEOREM_IDS:
+    for tid in CHECKS:
         stats = {}
         applicable, detail = CHECKS[tid](auto, stats)
         outcomes.append((applicable, detail is not None, stats))
@@ -322,7 +362,7 @@ class TestRelabelling:
             for n, k, count in ((4, 2, 4000), (5, 2, 2500), (4, 3, 1000))
             for _ in range(count)
         ]
-        for text in (*CASE_FIXTURES.values(), A_REPLACED_FIXTURE):
+        for text in (*CASE_FIXTURES.values(), A_REPLACED_FIXTURE, CORANK4_HIT):
             population += [load_dfa(text).letters] * 5
         certified = 0
         for tables in population:
@@ -331,7 +371,7 @@ class TestRelabelling:
             rng.shuffle(perm)
             outcomes = _check_outcomes(n, tables)
             assert _check_outcomes(n, _relabelled(tables, perm)) == outcomes, (tables, perm)
-            certified += outcomes[THEOREM_IDS.index("corank2-cert")][0]
+            certified += outcomes[list(CHECKS).index("corank2-cert")][0]
         assert certified >= 1
 
 
