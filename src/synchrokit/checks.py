@@ -7,14 +7,15 @@ certificate is extracted and validated once (``structure.certify``),
 shared by every check.  The harness records the faults checks raise.
 Where a fast path and a public function decide the same thing, they
 share one implementation: forward searches run ``power._bfs`` on the
-subset-image tables (the rank search, BFS distances, greedy stages and
-the pin reach sets), the greedy conditions (1) and (4) are decided by
-``extremal._greedy_flags``, and the pipeline check runs
+subset-image tables (the rank search, BFS distances and greedy stages),
+the pin check's bridges are decided by ``construct._bridge_search``, the
+search ``pin_extension`` runs, the greedy conditions (1) and (4) are
+decided by ``extremal._greedy_flags``, and the pipeline check runs
 ``construct._pipeline``, the core of ``sync_pipeline``, on the tables
 and the rank search's parent links.  The only searches written here are
-``Auto.backward_within`` and the prefix-tree walk of ``check_pin``, which
-searches for a bridge only at the one corank that can fail,
-c = n - |Q.w| + 1, and only when the word's function permutes its image.
+``Auto.backward_within`` and the prefix-tree walk of ``check_pin`` over
+the words w, which asks for a bridge only at the one corank that can
+fail, c = n - |Q.w| + 1, and only when w's function permutes its image.
 The independent reference is the brute-force code in the test suite
 (``brute_pin`` for the pin check).
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .automaton import Dfa, serialize_dfa
-from .construct import _corank3_cases, _pipeline
+from .construct import _bridge_search, _corank3_cases, _pipeline
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
 from .power import _bfs, _depth, _first_le, _rank_search, subset_images_for_table
 from .structure import _anchor_pair, _hypothesis_holds, certify, classify_pinlem
@@ -43,21 +44,10 @@ def _size_masks(n):
 class Auto:
     """Lazy per-automaton analysis shared across the theorem checks."""
 
-    __slots__ = (
-        "n",
-        "k",
-        "tables",
-        "imgs",
-        "full",
-        "_forward",
-        "_dfa",
-        "_cert",
-        "_greedy_flags",
-    )
+    __slots__ = ("n", "tables", "imgs", "full", "_forward", "_dfa", "_cert", "_greedy_flags")
 
     def __init__(self, n, tables, imgs=None):
         self.n = n
-        self.k = len(tables)
         self.tables = tables
         self.imgs = imgs if imgs is not None else [
             subset_images_for_table(n, t) for t in tables
@@ -327,16 +317,6 @@ def check_pipeline(auto, stats):
     return True, None
 
 
-def _reach_within(auto, start_mask, steps, cache):
-    """The sets reachable from start_mask in at most ``steps`` letters,
-    cached per (start_mask, steps)."""
-    key = (start_mask, steps)
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = _bfs(auto.imgs, start_mask, max_depth=steps)[0]
-    return got
-
-
 _PIN_WORD_LEN = 6
 
 
@@ -349,8 +329,9 @@ def check_pin(auto, stats):
     c* = n-a+1 can fail: for every smaller c, a <= n-c and the empty
     bridge works, since |A.f| <= a.  c* is feasible only when rank < a,
     and even then the empty bridge works unless f is injective on A, that
-    is, unless f permutes A.  Only then are the sets reachable from A
-    within c* letters searched, so c* is the only corank ever reported.
+    is, unless f permutes A.  Only then does ``construct._bridge_search``,
+    the search ``pin_extension`` runs, look for a bridge of at most c*
+    letters, stopping at the first; so c* is the only corank ever reported.
 
     Words are walked as a prefix tree deduplicated on the induced state
     function: words acting identically have identical continuations, so a
@@ -363,7 +344,6 @@ def check_pin(auto, stats):
     identity = tuple(range(n))
     seen = {identity}
     frontier = [(identity, ())]
-    reach_cache = {}
     depth = 0
     while True:
         for func, word in frontier:
@@ -375,15 +355,7 @@ def check_pin(auto, stats):
             A = 0
             for q in image:
                 A |= 1 << q
-            for S in _reach_within(auto, A, c, reach_cache):
-                moved = 0
-                while S:
-                    low = S & -S
-                    moved |= 1 << func[low.bit_length() - 1]
-                    S ^= low
-                if moved.bit_count() < a_size:
-                    break
-            else:
+            if _bridge_search(auto.imgs, func, A, c)[1] is None:
                 return True, {"claim": "pin", "c": c, "w": list(word), "start_size": a_size}
         depth += 1
         if depth > _PIN_WORD_LEN:

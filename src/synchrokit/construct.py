@@ -260,7 +260,8 @@ def pin_extension(dfa, w, c):
     Preconditions: the automaton compresses to size n-c at all, and the
     given word already reaches size n-c+1.  Existence within c letters is
     the extension bound; exhausting the candidates raises TheoremViolation
-    with full reproduction data.
+    with full reproduction data.  The search is ``_bridge_search``, shared
+    with the ``pin`` sweep check.
     """
     n = dfa.n
     if c < 1 or c > n - 1:
@@ -273,17 +274,11 @@ def pin_extension(dfa, w, c):
             f"|Q.w| = {len(A)} exceeds n-c+1 = {n - c + 1}"
         )
 
-    # BFS over bridge words by (length, lex); deduplicating on the current
-    # set is sound because only the set reached matters downstream.
-    target = n - c
+    func = tuple(range(n))
+    for s in w:
+        func = tuple(map(dfa.letters[s].__getitem__, func))
     images = _steppers(dfa, range(dfa.k))
-
-    def lands(T):
-        for s in w:
-            T = images[s][T]
-        return T.bit_count() <= target
-
-    parent, hit = _bfs(images, A.mask, lands, max_depth=c)
+    parent, hit = _bridge_search(images, func, A.mask, c)
     if hit is not None:
         return _word_to(images, range(dfa.k), parent, hit)
     raise TheoremViolation(
@@ -295,6 +290,24 @@ def pin_extension(dfa, w, c):
             "start_size": len(A),
         },
     )
+
+
+def _bridge_search(images, func, A, c):
+    """(parent, hit): ``power._bfs`` from the set A (a mask) over bridge
+    words of at most c letters, by (length, lex), stopped at the first set
+    T with |T.w| <= n-c, where ``func`` is w's state function (q -> q.w).
+    Deduplicating on the set reached is sound: only that set matters."""
+    target = len(func) - c
+
+    def lands(T):
+        moved = 0
+        while T:
+            low = T & -T
+            moved |= 1 << func[low.bit_length() - 1]
+            T ^= low
+        return moved.bit_count() <= target
+
+    return _bfs(images, A, lands, max_depth=c)
 
 
 def franklpin_word(dfa, R, c):

@@ -12,6 +12,7 @@ are sorted by their serialized form.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -64,6 +65,8 @@ class EnumerationScope:
                 raise ValueError("random mode needs an explicit rng_seed")
         elif self.sample_count is not None or self.rng_seed is not None:
             raise ValueError("sample_count and rng_seed apply to random mode only")
+        if self.mode == "random" and self.work_budget != _DEFAULT_BUDGET:
+            raise ValueError("work_budget applies to exhaustive mode only")
 
     @property
     def total(self):
@@ -247,21 +250,24 @@ def run_checks(theorem_ids, scope, jobs=1):
     seed give byte-identical reports for any job count.  A report's
     ``wall_time`` is the time spent in its theorem's check, summed over
     the blocks (and so over the workers when jobs > 1).  At most one
-    worker process runs per block.
+    worker process runs per block and per usable CPU.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    theorem_ids = tuple(theorem_ids)
     for tid in theorem_ids:
         if tid not in CHECKS:
             raise ValueError(f"unknown theorem id {tid!r} (known: {', '.join(CHECKS)})")
+        if theorem_ids.count(tid) > 1:
+            raise ValueError(f"theorem id {tid!r} given more than once")
     _check_budget(scope)
     total = scope.total
     blocks = [
-        (scope, tuple(theorem_ids), start, min(start + _BLOCK, total))
+        (scope, theorem_ids, start, min(start + _BLOCK, total))
         for start in range(0, total, _BLOCK)
     ]
     reports = {tid: VerificationReport(theorem_id=tid, scope=scope) for tid in theorem_ids}
-    workers = min(jobs, len(blocks))
+    workers = min(jobs, len(blocks), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
@@ -277,6 +283,13 @@ def run_checks(theorem_ids, scope, jobs=1):
             key=lambda ce: (ce["dfa"], json.dumps(ce["detail"], sort_keys=True))
         )
     return reports
+
+
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fold(reports, counts, violations, stats, times):

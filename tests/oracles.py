@@ -36,15 +36,6 @@ def brute_least_word(dfa, start, target_size, max_len):
     return None
 
 
-def brute_reach_within(dfa, start, steps):
-    """The images of ``start`` under every word of length <= steps."""
-    return {
-        apply_word(dfa, start, w)
-        for length in range(steps + 1)
-        for w in all_words(dfa.k, length)
-    }
-
-
 def brute_closure(dfa, start):
     """(depth, images): the least depth such that every image of ``start``
     under any word is an image under a word of at most that length, and

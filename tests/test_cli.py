@@ -267,7 +267,11 @@ class TestVerifyVerb:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(("corank3", "--n", "3", "--seed", "5"), "random mode only")],
+        [
+            (("corank3", "--n", "3", "--seed", "5"), "random mode only"),
+            (("corank3", "--n", "4", "--samples", "10", "--seed", "1", "--budget", "5"),
+             "exhaustive mode only"),
+        ],
     )
     def test_verify_inert_option_exits_1(self, capsys, argv, message):
         # An option that would leave the sweep unchanged is refused.

@@ -163,7 +163,7 @@ class TestPinExtension:
             pin_extension(c4, (), 0)
 
     def test_same_bridges_as_applying_w_per_set(self):
-        # The stop predicate applies w through the search's own maps; the
+        # The stop predicate applies w's state function to each set; the
         # reference tests every discovered set with apply_word, on bit-walk maps.
         def by_apply_word(dfa, w, c):
             images = [_ImageMap(table) for table in dfa.letters]

@@ -24,9 +24,9 @@ from synchrokit import (
     shortest_compressing_word,
     sync_pipeline,
 )
-from synchrokit import construct, power, structure
+from synchrokit import construct, harness, power, structure
 from synchrokit.cli import main
-from synchrokit.checks import CHECKS, Auto, _reach_within, check_pin
+from synchrokit.checks import CHECKS, Auto, check_pin
 from synchrokit.extremal import (assert_equivalence, check_condition_1, check_condition_4,
                                  hypothesis_greedy)
 from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _si_tables
@@ -41,7 +41,6 @@ from oracles import (
     brute_least_word,
     brute_min_length_to_size,
     brute_pin,
-    brute_reach_within,
     qualifying_words,
     random_dfas,
 )
@@ -49,6 +48,39 @@ from oracles import (
 
 def scope(n, k, **kw):
     return EnumerationScope(n=n, k=k, **kw)
+
+
+def _pool_sizes(monkeypatch):
+    """The pool sizes ``run_check`` asks for at jobs=1000, on three blocks
+    and then on one.  A fake context records them and runs the blocks in
+    this process, so no worker is ever started; the pooled report must
+    equal the sequential one."""
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    sc = scope(3, 2, mode="random", sample_count=3 * _BLOCK, rng_seed=5)
+    pooled = run_check("corank3", sc, jobs=1000)
+    assert pooled.render() == run_check("corank3", sc).render()
+    run_check("corank3", scope(2, 2), jobs=1000)  # one block: no pool
+    return sizes
 
 
 # The golden n=4 scope: every theorem id is applicable, and 29 automata
@@ -174,6 +206,8 @@ class TestEnumeration:
             EnumerationScope(n=4, k=2, sample_count=10, rng_seed=3)
         with pytest.raises(ValueError, match="random mode only"):
             EnumerationScope(n=4, k=2, rng_seed=3)
+        with pytest.raises(ValueError, match="exhaustive mode only"):
+            EnumerationScope(n=4, k=2, mode="random", sample_count=10, rng_seed=3, work_budget=5)
 
 
 class TestRandomDfa:
@@ -232,6 +266,12 @@ class TestReports:
         with pytest.raises(ValueError, match="greedy-stages, corank4"):
             run_check("made-up", scope(2, 1))
 
+    def test_repeated_theorem(self):
+        # A repeated id would count every automaton, and list every
+        # counterexample, once per repetition.
+        with pytest.raises(ValueError, match="'corank3' given more than once"):
+            run_checks(("corank3", "pin", "corank3"), scope(3, 2))
+
     def test_all_ids_run_on_tiny_scope(self):
         reports = run_checks(THEOREM_IDS, scope(2, 2))
         for tid in THEOREM_IDS:
@@ -284,35 +324,15 @@ class TestReports:
         assert brute_min_length_to_size(dfa, full, 2, 17) == 17
 
     def test_pool_has_at_most_one_worker_per_block(self, monkeypatch):
-        # A fake context records the pool sizes asked for and runs the
-        # blocks in this process, so no worker is ever started.
-        import multiprocessing
+        # Three blocks: at most three workers, and no more than the usable
+        # CPUs (no pool at all on one CPU).
+        cpus = harness._usable_cpus()
+        assert _pool_sizes(monkeypatch) == ([min(3, cpus)] if cpus > 1 else [])
 
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, items):
-                return map(fn, items)
-
-        class FakeContext:
-            Pool = FakePool
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
-        sc = scope(3, 2, mode="random", sample_count=3 * _BLOCK, rng_seed=5)
-        pooled = run_check("corank3", sc, jobs=1000)
-        assert sizes == [3]
-        assert pooled.render() == run_check("corank3", sc).render()
-        run_check("corank3", scope(2, 2), jobs=1000)  # one block: no pool
-        assert sizes == [3]
+    @pytest.mark.parametrize("cpus, expected", [(1, []), (2, [2]), (8, [3])])
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        assert _pool_sizes(monkeypatch) == expected
 
     def test_corank2_cert_counts_frozen(self):
         # Certified automata exist in the exhaustive populations; these
@@ -461,17 +481,6 @@ class TestKernelAgainstPublic:
                     w = brute_least_word(dfa, start, target, depth)
                     expected = None if w is None else (len(w), apply_word(dfa, start, w).mask)
                     assert auto.bfs_stage(mask, target) == expected
-
-    def test_reach_within_matches_brute_force(self):
-        rng = random.Random(68)
-        for dfa in random_dfas(66, 40, 4, 2) + random_dfas(67, 20, 5, 3):
-            auto = Auto(dfa.n, dfa.letters)
-            cache = {}
-            for mask in rng.sample(range(1, 1 << dfa.n), 6):
-                for steps in range(dfa.n):
-                    expected = {S.mask for S in brute_reach_within(dfa, StateSet(mask), steps)}
-                    for _ in range(2):  # computed, then cached
-                        assert set(_reach_within(auto, mask, steps, cache)) == expected
 
     def test_pin_matches_brute_force(self):
         # The check searches only c = n - |Q.w| + 1, and only when w's
