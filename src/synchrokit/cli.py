@@ -447,8 +447,8 @@ def build_parser():
     p.add_argument("--samples", type=int, help="random mode with this many draws")
     p.add_argument("--seed", type=int, help="seed for random mode")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=_DEFAULT_BUDGET,
-                   help="refuse exhaustive scopes larger than this")
+    p.add_argument("--budget", type=int,
+                   help=f"refuse exhaustive scopes larger than this (default {_DEFAULT_BUDGET})")
 
     return parser
 

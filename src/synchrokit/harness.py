@@ -1,21 +1,30 @@
 """Population sweeps with deterministic, mergeable verification reports.
 
-Exhaustive mode enumerates every k-tuple of transition tables in
-lexicographic order (within a work budget); random mode draws seeded
-uniform tables.  Work is split into fixed-size blocks verified
-independently -- possibly by a process pool -- and merged into one report
-per theorem.  Reports are byte-identical for identical scope and seed,
-regardless of the number of jobs: counts are summed and counterexamples
-are sorted by their serialized form.
+Exhaustive mode covers every k-tuple of transition tables (within a work
+budget) by checking one automaton per orbit of the symmetric group S_n,
+which renumbers the states: the lexicographically least member of the
+orbit, counted with its orbit size n!/|stabiliser| as weight.  No check
+depends on the state names, so counts and stats are those of the literal
+sweep; where a representative violates a check, the check is re-run on
+every member of its orbit, since a counterexample's data names states.
+``enumerate_dfas`` streams the literal population in lexicographic
+order.  Random mode draws seeded uniform tables, each of weight 1.  Work
+is split into blocks verified independently -- possibly by a process
+pool -- and merged into one report per theorem.  Reports are
+byte-identical for identical scope and seed, regardless of the number of
+jobs: counts are summed and counterexamples are sorted by their
+serialized form.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 from .automaton import MAX_STATES, Dfa
 from .checks import CHECKS, THEOREM_IDS, Auto
@@ -49,7 +58,7 @@ class EnumerationScope:
     mode: str = "exhaustive"
     sample_count: int | None = None
     rng_seed: int | None = None
-    work_budget: int = _DEFAULT_BUDGET
+    work_budget: int | None = None  # exhaustive mode; None: _DEFAULT_BUDGET
 
     def __post_init__(self):
         if not 1 <= self.n <= _TABLE_LIMIT:
@@ -65,7 +74,7 @@ class EnumerationScope:
                 raise ValueError("random mode needs an explicit rng_seed")
         elif self.sample_count is not None or self.rng_seed is not None:
             raise ValueError("sample_count and rng_seed apply to random mode only")
-        if self.mode == "random" and self.work_budget != _DEFAULT_BUDGET:
+        if self.mode == "random" and self.work_budget is not None:
             raise ValueError("work_budget applies to exhaustive mode only")
 
     @property
@@ -146,18 +155,33 @@ def _tables_from_index(index, n, k):
 
 
 def enumerate_dfas(scope):
-    """Stream the scope's population as Dfa values (budget enforced)."""
+    """Stream the scope's population as Dfa values (budget enforced):
+    every tuple of tables in lexicographic order, or the random draws."""
     _check_budget(scope)
-    for start in range(0, scope.total, _BLOCK):
-        for tables, _imgs in _iter_block(scope, start, min(start + _BLOCK, scope.total)):
-            yield Dfa.from_tables([tuple(x + 1 for x in t) for t in tables])
+    n, k = scope.n, scope.k
+    if scope.mode == "random":
+        tables_stream = (
+            tables
+            for start in range(0, scope.total, _BLOCK)
+            for tables, _imgs, _weight in _iter_block(
+                scope, range(start, min(start + _BLOCK, scope.total)))
+        )
+    else:
+        function = _function(n)
+        tables_stream = (
+            tuple(map(function, _tables_from_index(index, n, k)))
+            for index in range(scope.total)
+        )
+    for tables in tables_stream:
+        yield Dfa.from_tables([tuple(x + 1 for x in t) for t in tables])
 
 
 def _check_budget(scope):
-    if scope.mode == "exhaustive" and scope.total > scope.work_budget:
+    budget = _DEFAULT_BUDGET if scope.work_budget is None else scope.work_budget
+    if scope.mode == "exhaustive" and scope.total > budget:
         raise BudgetExceeded(
             f"exhaustive scope would enumerate {scope.total} automata, "
-            f"budget is {scope.work_budget}",
+            f"budget is {budget}",
             count=scope.total,
         )
 
@@ -181,37 +205,87 @@ def _si_tables(n):
     return _SI_CACHE[n]
 
 
-def _iter_block(scope, block_start, block_end):
-    """Yield (tables, imgs) pairs for one block of the population."""
+def _function(n):
+    """Function id -> table, from the cache up to five states."""
+    funcs = _si_tables(n)[0]
+    return funcs.__getitem__ if funcs is not None else lambda fid: _function_table(fid, n)
+
+
+def _orbit_representatives(n, k):
+    """Yield (function ids, weight) for the least member of every orbit of
+    S_n, renumbering the states, on k-tuples of functions, in
+    lexicographic order; the weight is the orbit size n!/|stabiliser|.
+
+    A tuple is least in its orbit when its first function f1 is least in
+    its conjugacy class and the rest is least under f1's centraliser C1
+    (the renumberings that leave f1 alone); f2 is then least in its
+    C1-orbit, with stabiliser C2 = C1 ∩ Stab(f2), and so on.  Each group is
+    a list of (p, place): renumbering p maps f to the function whose id is
+    sum(p[f[q]] * place[q]), as p.f.p^-1 sends p[q] to p[f[q]].
+    """
+    size = n ** n
+    function = _function(n)
+    group = [(p, [n ** (n - 1 - p[q]) for q in range(n)])
+             for p in itertools.permutations(range(n))]
+    order = len(group)
+
+    def extend(prefix, group):
+        if len(group) == 1:  # only the identity fixes the prefix: every tail is least
+            for tail in itertools.product(range(size), repeat=k - len(prefix)):
+                yield prefix + tail, order
+            return
+        marked = bytearray(size)
+        for fid in range(size):
+            if marked[fid]:
+                continue
+            f = function(fid)
+            stabiliser = []
+            for p, place in group:
+                image = sum(map(mul, map(p.__getitem__, f), place))
+                marked[image] = 1
+                if image == fid:
+                    stabiliser.append((p, place))
+            if len(prefix) == k - 1:
+                yield prefix + (fid,), order // len(stabiliser)
+            else:
+                yield from extend(prefix + (fid,), stabiliser)
+
+    return extend((), group)
+
+
+def _iter_block(scope, block):
+    """Yield (tables, imgs, weight) for one block of the population: the
+    draws numbered by the range ``block`` (random mode), or the orbit
+    representatives listed in ``block`` as (function ids, weight)."""
     n, k = scope.n, scope.k
     if scope.mode == "random":
-        rng = _block_rng(scope.rng_seed, block_start)
-        for _ in range(block_start, block_end):
+        rng = _block_rng(scope.rng_seed, block.start)
+        for _ in block:
             tables = tuple(
                 tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
             )
-            yield tables, None
+            yield tables, None, 1
         return
-    funcs, si = _si_tables(n)
-    for index in range(block_start, block_end):
-        fids = _tables_from_index(index, n, k)
-        if funcs is not None:
-            tables = tuple(funcs[fid] for fid in fids)
-        else:
-            tables = tuple(_function_table(fid, n) for fid in fids)
+    function, si = _function(n), _si_tables(n)[1]
+    for fids, weight in block:
         imgs = [si[fid] for fid in fids] if si is not None else None
-        yield tables, imgs
+        yield tuple(map(function, fids)), imgs, weight
 
 
 def _run_block(args):
-    """Check one block; a fault a check raises is its violation there."""
-    scope, theorem_ids, block_start, block_end = args
+    """Check one block; a fault a check raises is its violation there.
+    Stats are collected per weight and scaled once per block, and a
+    representative's violation is recorded for every member of its orbit."""
+    scope, theorem_ids, block = args
     counts = {tid: [0, 0] for tid in theorem_ids}  # checked, applicable
     violations = {tid: [] for tid in theorem_ids}
-    stats = {tid: {} for tid in theorem_ids}
+    by_weight = {}  # weight -> theorem id -> stats
     times = dict.fromkeys(theorem_ids, 0.0)
-    for tables, imgs in _iter_block(scope, block_start, block_end):
+    for tables, imgs, weight in _iter_block(scope, block):
         auto = Auto(scope.n, tables, imgs)
+        stats = by_weight.get(weight)
+        if stats is None:
+            stats = by_weight[weight] = {tid: {} for tid in theorem_ids}
         clock = time.perf_counter()
         for tid in theorem_ids:
             try:
@@ -222,25 +296,56 @@ def _run_block(args):
                 applicable, detail = True, {"claim": tid, "contradiction": str(e)}
             except ConstructionContradiction as e:
                 applicable, detail = True, {"claim": tid, "error": str(e)}
-            counts[tid][0] += 1
+            counts[tid][0] += weight
             if applicable:
-                counts[tid][1] += 1
+                counts[tid][1] += weight
             if detail is not None:
-                violations[tid].append(
-                    {"dfa": auto.serialized(), "detail": detail}
-                )
+                if weight == 1:
+                    violations[tid].append({"dfa": auto.serialized(), "detail": detail})
+                else:
+                    violations[tid].extend(_member_violations(scope, tid, tables))
             now = time.perf_counter()
             times[tid] += now - clock
             clock = now
-    return counts, violations, stats, times
+    merged = {tid: {} for tid in theorem_ids}
+    for weight, stats in by_weight.items():
+        for tid in theorem_ids:
+            _merge_stats(merged[tid], stats[tid], weight)
+    return counts, violations, merged, times
 
 
-def _merge_stats(into, part):
+def _member_violations(scope, tid, tables):
+    """The counterexamples of one check over the orbit of the 0-based
+    tables, each distinct renumbering p (sending p[q] to p[t[q]]) checked
+    as an automaton of weight 1."""
+    n = scope.n
+    place = [n ** (n - 1 - i) for i in range(n)]
+    members = set()
+    for p in itertools.permutations(range(n)):
+        inverse = sorted(range(n), key=p.__getitem__)
+        members.add(tuple(sum(p[t[q]] * w for q, w in zip(inverse, place)) for t in tables))
+    return _run_block((scope, (tid,), [(fids, 1) for fids in members]))[1][tid]
+
+
+def _merge_stats(into, part, weight=1):
+    """Fold stats in: ``max_`` keys by maximum, the others as counts, each
+    standing for ``weight`` automata."""
     for key, value in part.items():
         if key.startswith("max_"):
             into[key] = max(into.get(key, 0), value)
         else:
-            into[key] = into.get(key, 0) + value
+            into[key] = into.get(key, 0) + value * weight
+
+
+def _blocks(scope, theorem_ids):
+    """The scope's blocks as _run_block arguments, generated lazily."""
+    if scope.mode == "random":
+        for start in range(0, scope.total, _BLOCK):
+            yield scope, theorem_ids, range(start, min(start + _BLOCK, scope.total))
+        return
+    representatives = _orbit_representatives(scope.n, scope.k)
+    while block := list(itertools.islice(representatives, _BLOCK)):
+        yield scope, theorem_ids, block
 
 
 def run_checks(theorem_ids, scope, jobs=1):
@@ -261,13 +366,12 @@ def run_checks(theorem_ids, scope, jobs=1):
         if theorem_ids.count(tid) > 1:
             raise ValueError(f"theorem id {tid!r} given more than once")
     _check_budget(scope)
-    total = scope.total
-    blocks = [
-        (scope, theorem_ids, start, min(start + _BLOCK, total))
-        for start in range(0, total, _BLOCK)
-    ]
+    blocks = _blocks(scope, theorem_ids)
+    # One worker per block and per usable CPU: peek at that many blocks.
+    head = list(itertools.islice(blocks, min(jobs, _usable_cpus())))
+    workers = len(head)
+    blocks = itertools.chain(head, blocks)
     reports = {tid: VerificationReport(theorem_id=tid, scope=scope) for tid in theorem_ids}
-    workers = min(jobs, len(blocks), _usable_cpus())
     if workers > 1:
         import multiprocessing
 

@@ -2,13 +2,18 @@
 
 Everything here is deliberately naive: plain word enumeration and set
 application, with no shared machinery with the package internals beyond
-apply_word itself.
+apply_word itself.  The one exception is ``literal_reports``, the
+reference for the sweeps: it runs the package's own checks, but over the
+literal population, one automaton at a time.
 """
 
 import itertools
+import json
 import random
 
-from synchrokit import Dfa, apply_word
+from synchrokit import (CertificateContradiction, ConstructionContradiction, Dfa,
+                        TheoremViolation, VerificationReport, apply_word, enumerate_dfas)
+from synchrokit.checks import CHECKS, Auto
 
 
 def all_words(k, length):
@@ -129,6 +134,33 @@ def brute_condition_4(dfa, words=None):
 
 def brute_hypothesis_greedy(dfa):
     return bool(qualifying_words(dfa))
+
+
+def literal_reports(ids, scope):
+    """The reports of the literal sweep: every check of ``ids`` folded over
+    every automaton of ``enumerate_dfas(scope)``, one at a time, each
+    counted once and each fault a check raises recorded as its violation."""
+    reports = {tid: VerificationReport(theorem_id=tid, scope=scope) for tid in ids}
+    for dfa in enumerate_dfas(scope):
+        auto = Auto(dfa.n, dfa.letters)
+        for tid in ids:
+            report = reports[tid]
+            try:
+                applicable, detail = CHECKS[tid](auto, report.stats)
+            except TheoremViolation as e:
+                applicable, detail = True, {"claim": tid, **e.detail}
+            except CertificateContradiction as e:
+                applicable, detail = True, {"claim": tid, "contradiction": str(e)}
+            except ConstructionContradiction as e:
+                applicable, detail = True, {"claim": tid, "error": str(e)}
+            report.checked_count += 1
+            report.applicable_count += applicable
+            if detail is not None:
+                report.counterexamples.append({"dfa": auto.serialized(), "detail": detail})
+    for report in reports.values():
+        report.counterexamples.sort(
+            key=lambda ce: (ce["dfa"], json.dumps(ce["detail"], sort_keys=True)))
+    return reports
 
 
 def random_dfa_tables(rng, n, k):

@@ -1,10 +1,10 @@
 """Acceptance suite: every shipped bound is checked at its stated scope.
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
-them live).  The two heavyweight populations -- the exhaustive 5-state
-two-letter sweep (9,765,625 automata) and the million-sample random
-sweep -- run once each as session fixtures and are shared by the
-criteria that cite them.  Expected violation counts are exactly zero
+them live).  The two largest populations -- the exhaustive 5-state
+two-letter sweep (9,765,625 automata, checked as 83,061 orbit
+representatives) and the million-sample random sweep -- run once each
+and are shared by the criteria that cite them.  Expected violation counts are exactly zero
 everywhere; equalities are exact (tolerance 0).
 """
 
@@ -93,7 +93,7 @@ def test_criterion_01_corank_bound_sweeps(corank3_small, sweep5):
         small_violations == 0
         and counts == {2: 16, 3: 729, 4: 65536}
         and corank3_n5.checked_count == 9765625
-        and corank3_n5.violation_count == 0
+        and (corank3_n5.applicable_count, corank3_n5.violation_count) == (9751225, 0)
         and (corank4_n5.applicable_count, corank4_n5.violation_count) == (8063385, 0)
         and small_time < 10.0
         and corank3_n5.wall_time < 900.0
@@ -128,7 +128,14 @@ def test_criterion_03_certificate_soundness(sweep5, sweep_small):
     reports = [sweep5["corank2-cert"]] + [s["corank2-cert"] for s in sweep_small.values()]
     violations = sum(r.violation_count for r in reports)
     applicable = sum(r.applicable_count for r in reports)
-    ok = violations == 0 and applicable > 0
+    # At n=5 every certificate has |X| >= 3.
+    n5 = sweep5["corank2-cert"]
+    ok = (
+        violations == 0
+        and applicable > 0
+        and n5.applicable_count == 17280
+        and n5.stats == {"case_X_GE_3": 17280}
+    )
     record(3, "corank2-cert", ok, f"{applicable} certified automata, 0 violations")
 
 
@@ -145,7 +152,11 @@ def test_criterion_04_corank3_construction(sweep5, sweep_small):
         fixture_cases.add(tag.case)
     covered = sweep_cases | fixture_cases
     fixture_only = sorted(covered - sweep_cases)
-    ok = violations == 0 and covered == {"CASE_I", "CASE_II", "CASE_III", "CASE_IV"}
+    ok = (
+        violations == 0
+        and covered == {"CASE_I", "CASE_II", "CASE_III", "CASE_IV"}
+        and sweep5["lemmaX"].stats == {"CASE_I": 11520, "CASE_IV": 4800}
+    )
     record(
         4,
         "lemmaX",
@@ -175,7 +186,7 @@ def test_criterion_05_extension_bound():
 def test_criterion_06_pair_compression_bound(sweep5, sweep_small):
     reports = [sweep5["franklpin"]] + [s["franklpin"] for s in sweep_small.values()]
     violations = sum(r.violation_count for r in reports)
-    ok = violations == 0
+    ok = violations == 0 and sweep5["franklpin"].applicable_count == 9751225
     record(6, "franklpin", ok, "all subsets, exhaustive n<=5, 0 violations")
 
 
@@ -213,7 +224,12 @@ def test_criterion_08_letter_classes(sweep5, sweep_small):
     violations = sum(
         r.violation_count for r in pinlem_reports + converse_reports
     ) + sweep5["pinlem-converse"].violation_count
-    ok = violations == 0 and converse_applicable > 0
+    ok = (
+        violations == 0
+        and converse_applicable > 0
+        and sweep5["pinlem"].applicable_count == 17280
+        and sweep5["pinlem-converse"].applicable_count == 57600
+    )
     record(
         8,
         "pinlem+converse",
@@ -237,7 +253,12 @@ def test_criterion_09_greedy_equivalence(sweep5):
     )
     sampled = sum(r.checked_count for r in random_reports)
     extremal_found = sweep5["greedy-equiv"].stats.get("extremal", 0)
-    ok = violations == 0 and sampled == 1_000_000
+    ok = (
+        violations == 0
+        and sampled == 1_000_000
+        and sweep5["greedy-equiv"].applicable_count == 9294240
+        and extremal_found == 480
+    )
     record(
         9,
         "greedy-equiv",
@@ -254,7 +275,12 @@ def test_criterion_10_fallback_word(sweep5, sweep_small, e5):
     word = (cert.b_letter, cert.a_letter, cert.d_letter, cert.b_letter)
     start = apply_word(e5, e5.full_set(), word)
     nonvacuous = shortest_compressing_word(e5, start, 2, max_len=5) is None
-    ok = violations == 0 and nonvacuous and pincor_check(e5, cert)
+    ok = (
+        violations == 0
+        and sweep5["pincor"].applicable_count == 16320
+        and nonvacuous
+        and pincor_check(e5, cert)
+    )
     record(10, "pincor", ok, "0 violations; E5 hits the non-vacuous branch")
 
 
@@ -286,12 +312,15 @@ def test_criterion_11_property_suites(sweep5, sweep_small, c4, c5, e5):
     stage_violations = sum(r.violation_count for r in stage_reports)
     max_i = max(r.stats.get("max_i", 0) for r in stage_reports)
     max_j = max(r.stats.get("max_j", 0) for r in stage_reports)
+    n5 = sweep5["greedy-stages"]
     ok = (
         algebra_ok
         and minimality_ok
         and stage_violations == 0
         and max_i <= 3
         and max_j <= 6
+        and n5.applicable_count == 9333985
+        and n5.stats == {"max_i": 3, "max_j": 6}
     )
     record(11, "properties", ok, f"stage bounds hit i={max_i}<=3, j={max_j}<=6")
 

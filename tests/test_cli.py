@@ -271,6 +271,8 @@ class TestVerifyVerb:
             (("corank3", "--n", "3", "--seed", "5"), "random mode only"),
             (("corank3", "--n", "4", "--samples", "10", "--seed", "1", "--budget", "5"),
              "exhaustive mode only"),
+            (("corank3", "--n", "4", "--samples", "10", "--seed", "1", "--budget", "10000000"),
+             "exhaustive mode only"),
         ],
     )
     def test_verify_inert_option_exits_1(self, capsys, argv, message):

@@ -13,6 +13,7 @@ from synchrokit import (
     ConstructionContradiction,
     EnumerationScope,
     StateSet,
+    TheoremViolation,
     apply_word,
     enumerate_dfas,
     load_dfa,
@@ -41,6 +42,7 @@ from oracles import (
     brute_least_word,
     brute_min_length_to_size,
     brute_pin,
+    literal_reports,
     qualifying_words,
     random_dfas,
 )
@@ -236,8 +238,9 @@ class TestRandomDfa:
         assert len(listed) == len(set(listed)) or len(listed) == 50
 
     def test_block_iteration_equals_public_enumeration(self):
-        # Exhaustive mode is the literal lexicographic product of tables;
-        # random mode is the random_dfa stream, reseeded at every block.
+        # Exhaustive enumeration is the literal lexicographic product of
+        # tables; random mode is the random_dfa stream, reseeded at every
+        # block, each draw of weight 1.
         from synchrokit import Dfa
 
         def one_based(tables):
@@ -246,9 +249,7 @@ class TestRandomDfa:
         n, k = 3, 2
         functions = itertools.product(range(n), repeat=n)
         literal = [Dfa.from_tables(one_based(t)) for t in itertools.product(functions, repeat=k)]
-        sc = scope(n, k)
-        assert list(enumerate_dfas(sc)) == literal
-        assert [Dfa.from_tables(one_based(t)) for t, _ in _iter_block(sc, 0, sc.total)] == literal
+        assert list(enumerate_dfas(scope(n, k))) == literal
 
         seed, count = 13, _BLOCK + 100
         literal = []
@@ -257,8 +258,47 @@ class TestRandomDfa:
             literal.extend(random_dfa(4, 2, rng) for _ in range(min(_BLOCK, count - start)))
         sc = scope(4, 2, mode="random", sample_count=count, rng_seed=seed)
         assert list(enumerate_dfas(sc)) == literal
-        second_block = [Dfa.from_tables(one_based(t)) for t, _ in _iter_block(sc, _BLOCK, count)]
-        assert second_block == literal[_BLOCK:]
+        second_block = list(_iter_block(sc, range(_BLOCK, count)))
+        assert [Dfa.from_tables(one_based(t)) for t, _, _ in second_block] == literal[_BLOCK:]
+        assert {weight for _, _, weight in second_block} == {1}
+
+    @pytest.mark.parametrize("n, k, orbits", [(1, 1, 1), (2, 3, 36), (3, 2, 129),
+                                              (3, 3, 3303), (4, 2, 2836)])
+    def test_orbit_representatives(self, n, k, orbits):
+        # One representative per orbit of S_n renumbering the states:
+        # Burnside's count, (1/n!) * sum over g of fix(g)^k, where a
+        # function fixed by g maps each cycle of g into a cycle whose
+        # length divides its own.
+        def fixed_functions(p):
+            cycles = []
+            for q in range(n):
+                if all(q not in c for c in cycles):
+                    cycle = [q]
+                    while p[cycle[-1]] != q:
+                        cycle.append(p[cycle[-1]])
+                    cycles.append(cycle)
+            fixed = 1
+            for c in cycles:
+                fixed *= sum(len(d) for d in cycles if len(c) % len(d) == 0)
+            return fixed
+
+        perms = list(itertools.permutations(range(n)))
+        burnside = sum(fixed_functions(p) ** k for p in perms)
+        assert burnside == orbits * len(perms)
+        sc = scope(n, k)
+        reps = list(harness._orbit_representatives(n, k))
+        assert len(reps) == orbits
+        assert sum(weight for _, weight in reps) == sc.total
+        if sc.total > 1000:
+            return
+        # Expanding every orbit gives each automaton of the literal
+        # enumeration exactly once, from its least member.
+        expanded = []
+        for tables, _imgs, weight in _iter_block(sc, reps):
+            members = {_relabelled(tables, p) for p in perms}
+            assert len(members) == weight and min(members) == tables
+            expanded += members
+        assert sorted(expanded) == [d.letters for d in enumerate_dfas(sc)]
 
 
 class TestReports:
@@ -393,6 +433,47 @@ class TestRelabelling:
             assert _check_outcomes(n, _relabelled(tables, perm)) == outcomes, (tables, perm)
             certified += outcomes[list(CHECKS).index("corank2-cert")][0]
         assert certified >= 1
+
+
+class TestOrbitSweep:
+    """Exhaustive sweeps check one representative per orbit of the state
+    renumberings, weighted by its orbit size; their reports must be the
+    literal sweep's, byte for byte."""
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)]
+                             + [pytest.param(4, 2, marks=pytest.mark.slow)])
+    def test_reports_match_literal_sweep(self, monkeypatch, n, k):
+        sc = scope(n, k)
+        ids = tuple(CHECKS)
+        literal = {tid: r.render() for tid, r in literal_reports(ids, sc).items()}
+        sequential = run_checks(ids, sc, jobs=1)
+        # Small blocks, so that the pool and the per-block stats scaling run.
+        monkeypatch.setattr(harness, "_BLOCK", 300)
+        pooled = run_checks(ids, sc, jobs=2)
+        for tid in ids:
+            assert sequential[tid].render() == literal[tid], tid
+            assert pooled[tid].render() == literal[tid], tid
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_counterexamples_cover_every_orbit_member(self, monkeypatch, raises):
+        # A planted check whose detail names a state: each member of a
+        # failing orbit reports its own state, as in the literal sweep.
+        def planted(auto, stats):
+            if auto.rank != 2:
+                return False, None
+            detail = {"q": auto.tables[0][0]}
+            if raises:
+                raise TheoremViolation("planted", detail)
+            return True, {"claim": "planted", **detail}
+
+        monkeypatch.setitem(CHECKS, "planted", planted)
+        sc = scope(3, 2)
+        literal = literal_reports(("planted",), sc)["planted"]
+        report = run_check("planted", sc)
+        assert report.counterexamples == literal.counterexamples
+        assert report.render() == literal.render()
+        assert report.violation_count == 144
+        assert len({ce["detail"]["q"] for ce in report.counterexamples}) == 3
 
 
 class TestSharedSlowPath:
