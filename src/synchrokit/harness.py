@@ -8,16 +8,18 @@ depends on the state names, so counts and stats are those of the literal
 sweep; where a representative violates a check, the check is re-run on
 every member of its orbit, since a counterexample's data names states.
 ``enumerate_dfas`` streams the literal population in lexicographic
-order.  Random mode draws seeded uniform tables, each of weight 1.  Work
-is split into blocks verified independently -- possibly by a process
-pool -- and merged into one report per theorem.  Reports are
-byte-identical for identical scope and seed, regardless of the number of
-jobs: counts are summed and counterexamples are sorted by their
-serialized form.
+order.  Random mode draws seeded uniform function ids, each of weight 1.
+Both modes read a function id's table, and up to five states its
+subset-image table, from one per-process lookup.  Work is split into
+blocks verified independently -- possibly by a process pool -- and
+merged into one report per theorem.  Reports are byte-identical for
+identical scope and seed, regardless of the number of jobs: counts are
+summed and counterexamples are sorted by their serialized form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -144,44 +146,29 @@ def _function_table(fid, n):
     return tuple(digits)
 
 
-def _tables_from_index(index, n, k):
-    base = n ** n
-    fids = []
-    for _ in range(k):
-        index, fid = divmod(index, base)
-        fids.append(fid)
-    fids.reverse()
-    return fids
-
-
 def enumerate_dfas(scope):
     """Stream the scope's population as Dfa values (budget enforced):
     every tuple of tables in lexicographic order, or the random draws."""
     _check_budget(scope)
-    n, k = scope.n, scope.k
     if scope.mode == "random":
-        tables_stream = (
-            tables
-            for start in range(0, scope.total, _BLOCK)
-            for tables, _imgs, _weight in _iter_block(
-                scope, range(start, min(start + _BLOCK, scope.total)))
-        )
+        blocks = (block for _, _, block in _blocks(scope, ()))
     else:
-        function = _function(n)
-        tables_stream = (
-            tuple(map(function, _tables_from_index(index, n, k)))
-            for index in range(scope.total)
-        )
-    for tables in tables_stream:
-        yield Dfa.from_tables([tuple(x + 1 for x in t) for t in tables])
+        fids = itertools.product(range(scope.n ** scope.n), repeat=scope.k)
+        blocks = [zip(fids, itertools.repeat(1))]
+    for block in blocks:
+        for tables, _imgs, _weight in _iter_block(scope, block):
+            yield Dfa.from_tables([tuple(x + 1 for x in t) for t in tables])
 
 
 def _check_budget(scope):
     budget = _DEFAULT_BUDGET if scope.work_budget is None else scope.work_budget
     if scope.mode == "exhaustive" and scope.total > budget:
+        # Written as a power: n^(n*k) can have too many digits to print.
+        count = f"{scope.n}^({scope.n}*{scope.k})"
+        if scope.total.bit_length() <= 64:
+            count += f" = {scope.total}"
         raise BudgetExceeded(
-            f"exhaustive scope would enumerate {scope.total} automata, "
-            f"budget is {budget}",
+            f"exhaustive scope would enumerate {count} automata, budget is {budget}",
             count=scope.total,
         )
 
@@ -190,25 +177,22 @@ def _block_rng(seed, block_start):
     return random.Random(seed * 1_000_003 + block_start)
 
 
-# Per-process cache of (function tables, subset-image tables), both
-# indexed by function id; (None, None) above five states.
-_SI_CACHE = {}
+@functools.cache
+def _lookup(n):
+    """Function id -> (0-based table, subset-image table), built once per
+    process up to five states; above five the images are None."""
+    if n > 5:
+        return lambda fid: (_function_table(fid, n), None)
+    tables = [_function_table(fid, n) for fid in range(n ** n)]
+    return [(table, subset_images_for_table(n, table)) for table in tables].__getitem__
 
 
-def _si_tables(n):
-    if n not in _SI_CACHE:
-        funcs = si = None
-        if n ** n <= 3200:  # n <= 5: precompute every function and its image table
-            funcs = [_function_table(fid, n) for fid in range(n ** n)]
-            si = [subset_images_for_table(n, table) for table in funcs]
-        _SI_CACHE[n] = funcs, si
-    return _SI_CACHE[n]
-
-
-def _function(n):
-    """Function id -> table, from the cache up to five states."""
-    funcs = _si_tables(n)[0]
-    return funcs.__getitem__ if funcs is not None else lambda fid: _function_table(fid, n)
+def _renumberings(n):
+    """Every renumbering of the states as (p, place): p maps a function f
+    to the function whose id is sum(p[f[q]] * place[q]), as p.f.p^-1
+    sends p[q] to p[f[q]]."""
+    return [(p, [n ** (n - 1 - p[q]) for q in range(n)])
+            for p in itertools.permutations(range(n))]
 
 
 def _orbit_representatives(n, k):
@@ -220,13 +204,11 @@ def _orbit_representatives(n, k):
     its conjugacy class and the rest is least under f1's centraliser C1
     (the renumberings that leave f1 alone); f2 is then least in its
     C1-orbit, with stabiliser C2 = C1 ∩ Stab(f2), and so on.  Each group is
-    a list of (p, place): renumbering p maps f to the function whose id is
-    sum(p[f[q]] * place[q]), as p.f.p^-1 sends p[q] to p[f[q]].
+    a list of ``_renumberings``.
     """
     size = n ** n
-    function = _function(n)
-    group = [(p, [n ** (n - 1 - p[q]) for q in range(n)])
-             for p in itertools.permutations(range(n))]
+    lookup = _lookup(n)
+    group = _renumberings(n)
     order = len(group)
 
     def extend(prefix, group):
@@ -238,7 +220,7 @@ def _orbit_representatives(n, k):
         for fid in range(size):
             if marked[fid]:
                 continue
-            f = function(fid)
+            f = lookup(fid)[0]
             stabiliser = []
             for p, place in group:
                 image = sum(map(mul, map(p.__getitem__, f), place))
@@ -255,21 +237,31 @@ def _orbit_representatives(n, k):
 
 def _iter_block(scope, block):
     """Yield (tables, imgs, weight) for one block of the population: the
-    draws numbered by the range ``block`` (random mode), or the orbit
-    representatives listed in ``block`` as (function ids, weight)."""
-    n, k = scope.n, scope.k
+    draws numbered by the range ``block`` (random mode), or the items of
+    ``block`` as (function ids, weight).  ``imgs`` is None above five
+    states."""
+    n = scope.n
     if scope.mode == "random":
-        rng = _block_rng(scope.rng_seed, block.start)
-        for _ in block:
-            tables = tuple(
-                tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
-            )
-            yield tables, None, 1
-        return
-    function, si = _function(n), _si_tables(n)[1]
+        block = _draws(_block_rng(scope.rng_seed, block.start), n, scope.k, len(block))
+    lookup = _lookup(n)
     for fids, weight in block:
-        imgs = [si[fid] for fid in fids] if si is not None else None
-        yield tuple(map(function, fids)), imgs, weight
+        tables, imgs = zip(*map(lookup, fids))
+        yield tables, None if imgs[0] is None else imgs, weight
+
+
+def _draws(rng, n, k, count):
+    """(function ids, 1) for ``count`` uniform automata: each function is
+    n draws, the first digit most significant, as ``_function_table``
+    decodes it."""
+    draw = rng.randrange
+    for _ in range(count):
+        fids = []
+        for _ in range(k):
+            fid = 0
+            for _ in range(n):
+                fid = fid * n + draw(n)
+            fids.append(fid)
+        yield fids, 1
 
 
 def _run_block(args):
@@ -316,14 +308,9 @@ def _run_block(args):
 
 def _member_violations(scope, tid, tables):
     """The counterexamples of one check over the orbit of the 0-based
-    tables, each distinct renumbering p (sending p[q] to p[t[q]]) checked
-    as an automaton of weight 1."""
-    n = scope.n
-    place = [n ** (n - 1 - i) for i in range(n)]
-    members = set()
-    for p in itertools.permutations(range(n)):
-        inverse = sorted(range(n), key=p.__getitem__)
-        members.add(tuple(sum(p[t[q]] * w for q, w in zip(inverse, place)) for t in tables))
+    tables, each distinct member checked as an automaton of weight 1."""
+    members = {tuple(sum(map(mul, map(p.__getitem__, t), place)) for t in tables)
+               for p, place in _renumberings(scope.n)}
     return _run_block((scope, (tid,), [(fids, 1) for fids in members]))[1][tid]
 
 

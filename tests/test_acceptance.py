@@ -29,6 +29,7 @@ from synchrokit import (
     shortest_compressing_word,
     size_profile,
 )
+from synchrokit import harness
 from synchrokit.extremal import check_condition_4
 
 from conftest import CASE_FIXTURES
@@ -325,12 +326,18 @@ def test_criterion_11_property_suites(sweep5, sweep_small, c4, c5, e5):
     record(11, "properties", ok, f"stage bounds hit i={max_i}<=3, j={max_j}<=6")
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(monkeypatch):
+    # Every scope spans more than one block, so that jobs=2 starts a pool;
+    # the 129 n=3 representatives need blocks smaller than the default.
     sc = EnumerationScope(n=3, k=2)
-    a = run_check("greedy-equiv", sc, jobs=1).render()
-    b = run_check("greedy-equiv", sc, jobs=2).render()
-    c = run_check("greedy-equiv", sc, jobs=1).render()
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_BLOCK", 50)
+        assert len(list(harness._blocks(sc, ()))) > 1
+        a = run_check("greedy-equiv", sc, jobs=1).render()
+        b = run_check("greedy-equiv", sc, jobs=2).render()
+        c = run_check("greedy-equiv", sc, jobs=1).render()
     rand = EnumerationScope(n=5, k=2, mode="random", sample_count=20_000, rng_seed=99)
+    assert len(list(harness._blocks(rand, ()))) > 1
     d = run_check("corank3", rand, jobs=1).render()
     e = run_check("corank3", rand, jobs=2).render()
     ok = a == b == c and d == e and json.loads(a)["violations"] == 0

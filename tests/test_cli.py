@@ -301,6 +301,13 @@ class TestVerifyVerb:
         assert code == 1
         assert "9765625" in err
 
+    def test_verify_budget_huge_scope(self, capsys):
+        # 13^(13*2000) has far more digits than Python will print.
+        code, out, err = run_cli(capsys, "verify", "corank3", "--n", "13", "--k", "2000")
+        assert code == 1 and out == ""
+        assert err == ("error: exhaustive scope would enumerate 13^(13*2000) automata, "
+                       "budget is 10000000\n")
+
     def test_verify_unknown_theorem_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "nope", "--n", "3"])

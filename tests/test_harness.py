@@ -30,7 +30,7 @@ from synchrokit.cli import main
 from synchrokit.checks import CHECKS, Auto, check_pin
 from synchrokit.extremal import (assert_equivalence, check_condition_1, check_condition_4,
                                  hypothesis_greedy)
-from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _si_tables
+from synchrokit.harness import _BLOCK, THEOREM_IDS, _iter_block, _lookup
 from synchrokit.structure import _anchor_pair, find_adb1_structure
 
 from conftest import A_REPLACED_FIXTURE, CASE_FIXTURES, CORANK4_HIT, fixture_path
@@ -262,6 +262,20 @@ class TestRandomDfa:
         assert [Dfa.from_tables(one_based(t)) for t, _, _ in second_block] == literal[_BLOCK:]
         assert {weight for _, _, weight in second_block} == {1}
 
+        # Both modes read each table's subset images from the per-process
+        # lookup up to five states; above five the items carry None, and
+        # Auto builds the images itself.
+        for n in range(1, 7):
+            exhaustive = itertools.islice(harness._orbit_representatives(n, 2), 200)
+            items = list(_iter_block(scope(n, 2), exhaustive))
+            random_scope = scope(n, 2, mode="random", sample_count=200, rng_seed=n)
+            items += _iter_block(random_scope, range(200))
+            for tables, imgs, _weight in items:
+                if n <= 5:
+                    assert list(imgs) == [power.subset_images_for_table(n, t) for t in tables]
+                else:
+                    assert imgs is None
+
     @pytest.mark.parametrize("n, k, orbits", [(1, 1, 1), (2, 3, 36), (3, 2, 129),
                                               (3, 3, 3303), (4, 2, 2836)])
     def test_orbit_representatives(self, n, k, orbits):
@@ -318,15 +332,22 @@ class TestReports:
             assert reports[tid].checked_count == 16
             assert reports[tid].violation_count == 0
 
-    def test_sequential_vs_parallel_identical(self):
+    def test_sequential_vs_parallel_identical(self, monkeypatch):
+        # Small blocks, so that jobs=2 starts a pool.
+        monkeypatch.setattr(harness, "_BLOCK", 50)
         sc = scope(3, 2)
+        assert len(list(harness._blocks(sc, ()))) > 1
         seq = run_checks(("corank3", "greedy-equiv", "franklpin"), sc, jobs=1)
         par = run_checks(("corank3", "greedy-equiv", "franklpin"), sc, jobs=2)
         for tid in seq:
             assert seq[tid].render() == par[tid].render()
 
-    def test_random_mode_deterministic(self):
+    def test_random_mode_deterministic(self, monkeypatch):
+        # Small blocks, so that jobs=2 starts a pool; the draws are reseeded
+        # per block, so the block size is part of the scope's population.
+        monkeypatch.setattr(harness, "_BLOCK", 500)
         sc = scope(5, 2, mode="random", sample_count=2000, rng_seed=99)
+        assert len(list(harness._blocks(sc, ()))) > 1
         a = run_check("corank3", sc, jobs=1)
         b = run_check("corank3", sc, jobs=2)
         assert a.render() == b.render()
@@ -521,7 +542,7 @@ class TestSharedSlowPath:
         assert len(extracted) == len(validated) == certified
 
     def test_pipeline_check_searches_nothing_twice(self, monkeypatch):
-        _si_tables(4)  # the population's subset-image tables, built once per process
+        _lookup(4)  # the population's subset-image tables, built once per process
         counted = (
             construct.sync_pipeline,
             power.rank,
