@@ -15,7 +15,9 @@ decided by ``extremal._greedy_flags``, and the pipeline check runs
 and the rank search's parent links.  The only searches written here are
 ``Auto.backward_within`` and the prefix-tree walk of ``check_pin`` over
 the words w, which asks for a bridge only at the one corank that can
-fail, c = n - |Q.w| + 1, and only when w's function permutes its image.
+fail, c = n - |Q.w| + 1, whenever rank < |Q.w|; the search's first
+candidate, the empty bridge, settles every w whose function does not
+permute Q.w.
 The independent reference is the brute-force code in the test suite
 (``brute_pin`` for the pin check).
 """
@@ -327,15 +329,16 @@ def check_pin(auto, stats):
     bound asks, for every feasible corank c (rank <= n-c) with a <= n-c+1,
     for a bridge u of at most c letters with |A.u.f| <= n-c.  Only
     c* = n-a+1 can fail: for every smaller c, a <= n-c and the empty
-    bridge works, since |A.f| <= a.  c* is feasible only when rank < a,
-    and even then the empty bridge works unless f is injective on A, that
-    is, unless f permutes A.  Only then does ``construct._bridge_search``,
-    the search ``pin_extension`` runs, look for a bridge of at most c*
-    letters, stopping at the first; so c* is the only corank ever reported.
+    bridge works, since |A.f| <= a.  c* is feasible only when rank < a, and
+    then ``construct._bridge_search``, the search ``pin_extension`` runs,
+    looks for a bridge of at most c* letters, stopping at the first.  Its
+    first candidate, the empty bridge, settles every w whose function does
+    not permute A, so c* is the only corank ever reported.
 
     Words are walked as a prefix tree deduplicated on the induced state
     function: words acting identically have identical continuations, so a
-    repeated function prunes its whole subtree.
+    repeated function prunes its whole subtree.  Each word carries its
+    image, since Q.wj = (Q.w).j is one subset-image lookup.
     """
     n = auto.n
     rank = auto.rank
@@ -343,33 +346,23 @@ def check_pin(auto, stats):
         return False, None
     identity = tuple(range(n))
     seen = {identity}
-    frontier = [(identity, ())]
-    depth = 0
-    while True:
-        for func, word in frontier:
-            image = set(func)
-            a_size = len(image)
-            if rank >= a_size or len(set(map(func.__getitem__, image))) < a_size:
-                continue
-            c = n - a_size + 1
-            A = 0
-            for q in image:
-                A |= 1 << q
-            if _bridge_search(auto.imgs, func, A, c)[1] is None:
-                return True, {"claim": "pin", "c": c, "w": list(word), "start_size": a_size}
-        depth += 1
-        if depth > _PIN_WORD_LEN:
+    frontier = [(identity, auto.full, ())]
+    for depth in range(_PIN_WORD_LEN + 1):
+        for func, A, word in frontier:
+            a = A.bit_count()
+            c = n - a + 1
+            if rank < a and _bridge_search(auto.imgs, func, A, c)[1] is None:
+                return True, {"claim": "pin", "c": c, "w": list(word), "start_size": a}
+        if depth == _PIN_WORD_LEN:
             break
         nxt = []
-        for func, word in frontier:
-            for j, table in enumerate(auto.tables):
+        for func, A, word in frontier:
+            for j, (table, img) in enumerate(zip(auto.tables, auto.imgs)):
                 child = tuple(map(table.__getitem__, func))
                 if child not in seen:
                     seen.add(child)
-                    nxt.append((child, word + (j,)))
+                    nxt.append((child, img[A], word + (j,)))
         frontier = nxt
-        if not frontier:
-            break
     return True, None
 
 

@@ -1,8 +1,9 @@
 """Command-line surface: one verb per library operation.
 
-Exit status is 0 on success, 1 on domain errors (bad input, failed
-hypothesis or precondition), and 2 when a verification found or hit a
-bound violation.  Every verb accepts --json for machine-readable output.
+Exit status is 0 on success, 1 on usage errors and domain errors (bad
+input, failed hypothesis or precondition), and 2 when a verification
+found or hit a bound violation.  Every verb accepts --json for
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -371,8 +372,16 @@ def cmd_verify(args):
     return 2 if report.violation_count else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as domain errors do: 2 means a violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="synchrokit",
         description="Exact compression-word search and bound verification "
                     "for synchronizing automata.",

@@ -74,6 +74,9 @@ class EnumerationScope:
                 raise ValueError("random mode needs sample_count >= 1")
             if self.rng_seed is None:
                 raise ValueError("random mode needs an explicit rng_seed")
+            if self.rng_seed < 0:
+                # random.Random seeds with |seed|, so -s would draw the population of s.
+                raise ValueError("rng_seed must be at least 0")
         elif self.sample_count is not None or self.rng_seed is not None:
             raise ValueError("sample_count and rng_seed apply to random mode only")
         if self.mode == "random" and self.work_budget is not None:
@@ -180,11 +183,12 @@ def _block_rng(seed, block_start):
 @functools.cache
 def _lookup(n):
     """Function id -> (0-based table, subset-image table), built once per
-    process up to five states; above five the images are None."""
+    process up to five states, each image table as ``bytes`` (every mask is
+    below 32); above five the images are None."""
     if n > 5:
         return lambda fid: (_function_table(fid, n), None)
     tables = [_function_table(fid, n) for fid in range(n ** n)]
-    return [(table, subset_images_for_table(n, table)) for table in tables].__getitem__
+    return [(table, bytes(subset_images_for_table(n, table))) for table in tables].__getitem__
 
 
 def _renumberings(n):

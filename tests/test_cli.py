@@ -255,12 +255,15 @@ class TestVerifyVerb:
         assert "seed" in err
 
     @pytest.mark.parametrize(
-        "n, samples, message",
-        [("3", "0", "random mode needs sample_count >= 1"), ("64", "1", "out of range 1..13")],
+        "n, samples, seed, message",
+        [("3", "0", "3", "random mode needs sample_count >= 1"),
+         ("64", "1", "3", "out of range 1..13"),
+         ("4", "10", "-1", "rng_seed must be at least 0")],
+        ids=["3-0-random mode needs sample_count >= 1", "64-1-out of range 1..13", "negative-seed"],
     )
-    def test_verify_bad_scope_exits_1(self, capsys, n, samples, message):
+    def test_verify_bad_scope_exits_1(self, capsys, n, samples, seed, message):
         code, out, err = run_cli(
-            capsys, "verify", "corank3", "--n", n, "--samples", samples, "--seed", "3"
+            capsys, "verify", "corank3", "--n", n, "--samples", samples, "--seed", seed
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
@@ -311,7 +314,7 @@ class TestVerifyVerb:
     def test_verify_unknown_theorem_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "nope", "--n", "3"])
-        assert err.value.code != 0
+        assert err.value.code == 1
 
 
 def _every_verb(path, dfa):
@@ -414,9 +417,29 @@ class TestErrors:
     def test_unknown_verb_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
-        assert err.value.code != 0
+        assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["verify", "corank3"], "the following arguments are required: --n"),
+         (["rank"], "the following arguments are required: file"),
+         (["verify", "corank3", "--n", "x"], "invalid int value: 'x'")],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # Exit 2 is kept for violations, so a usage error exits 1.
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("usage: synchrokit ") and message in captured.err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0 and capsys.readouterr().out.startswith("usage: synchrokit")

@@ -199,6 +199,9 @@ class TestEnumeration:
             EnumerationScope(n=2, k=1, mode="random", rng_seed=1)  # no count
         with pytest.raises(ValueError, match="sample_count >= 1"):
             EnumerationScope(n=2, k=1, mode="random", sample_count=0, rng_seed=3)
+        # random.Random seeds with |seed|: -1 would draw the population of 1.
+        with pytest.raises(ValueError, match="rng_seed must be at least 0"):
+            EnumerationScope(n=2, k=1, mode="random", sample_count=5, rng_seed=-1)
         with pytest.raises(ValueError):
             EnumerationScope(n=14, k=2)  # beyond the subset-table limit
         with pytest.raises(ValueError):
@@ -272,7 +275,7 @@ class TestRandomDfa:
             items += _iter_block(random_scope, range(200))
             for tables, imgs, _weight in items:
                 if n <= 5:
-                    assert list(imgs) == [power.subset_images_for_table(n, t) for t in tables]
+                    assert [list(img) for img in imgs] == [power.subset_images_for_table(n, t) for t in tables]
                 else:
                     assert imgs is None
 
