@@ -7,17 +7,14 @@ certificate is extracted and validated once (``structure.certify``),
 shared by every check.  The harness records the faults checks raise.
 Where a fast path and a public function decide the same thing, they
 share one implementation: forward searches run ``power._bfs`` on the
-subset-image tables (the rank search, BFS distances and greedy stages),
-the pin check's bridges are decided by ``construct._bridge_search``, the
+subset-image tables (the rank search, BFS distances and greedy stages)
+and on the pairs (state function, image) of the pin check's words, the
+pin check's bridges are decided by ``construct._bridge_search``, the
 search ``pin_extension`` runs, the greedy conditions (1) and (4) are
 decided by ``extremal._greedy_flags``, and the pipeline check runs
 ``construct._pipeline``, the core of ``sync_pipeline``, on the tables
-and the rank search's parent links.  The only searches written here are
-``Auto.backward_within`` and the prefix-tree walk of ``check_pin`` over
-the words w, which asks for a bridge only at the one corank that can
-fail, c = n - |Q.w| + 1, whenever rank < |Q.w|; the search's first
-candidate, the empty bridge, settles every w whose function does not
-permute Q.w.
+and the rank search's parent links.  The only search written here is
+``Auto.backward_within``.
 The independent reference is the brute-force code in the test suite
 (``brute_pin`` for the pin check).
 """
@@ -29,7 +26,7 @@ from functools import lru_cache
 from .automaton import Dfa, serialize_dfa
 from .construct import _bridge_search, _corank3_cases, _pipeline
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
-from .power import _bfs, _depth, _first_le, _rank_search, subset_images_for_table
+from .power import _bfs, _depth, _first_le, _rank_search, _word_to, subset_images_for_table
 from .structure import _anchor_pair, _hypothesis_holds, certify, classify_pinlem
 
 
@@ -322,6 +319,22 @@ def check_pipeline(auto, stats):
 _PIN_WORD_LEN = 6
 
 
+class _PinStep:
+    """One letter of the ``check_pin`` walk: maps a word's node (f, A), its
+    state function and its image Q.w, to the node of the word with the
+    letter appended, since Q.wj = (Q.w).j is one subset-image lookup."""
+
+    __slots__ = ("table", "img")
+
+    def __init__(self, table, img):
+        self.table = table
+        self.img = img
+
+    def __getitem__(self, node):
+        func, A = node
+        return tuple(map(self.table.__getitem__, func)), self.img[A]
+
+
 def check_pin(auto, stats):
     """Extension-bound check over all words of up to ``_PIN_WORD_LEN`` letters.
 
@@ -335,35 +348,31 @@ def check_pin(auto, stats):
     first candidate, the empty bridge, settles every w whose function does
     not permute A, so c* is the only corank ever reported.
 
-    Words are walked as a prefix tree deduplicated on the induced state
-    function: words acting identically have identical continuations, so a
-    repeated function prunes its whole subtree.  Each word carries its
-    image, since Q.wj = (Q.w).j is one subset-image lookup.
+    The words are walked by ``power._bfs`` over the nodes (f, A), one
+    ``_PinStep`` per letter: a prefix tree deduplicated on the induced
+    state function (A is f's image), since words acting identically have
+    identical continuations.  Each node is tested as it is discovered, so
+    the first failing word is the lex-least shortest one, and a walk that
+    discovers more than ``power._SEARCH_BUDGET`` nodes raises
+    ``BudgetExceeded``.
     """
     n = auto.n
     rank = auto.rank
     if rank > n - 1:
         return False, None
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [(identity, auto.full, ())]
-    for depth in range(_PIN_WORD_LEN + 1):
-        for func, A, word in frontier:
-            a = A.bit_count()
-            c = n - a + 1
-            if rank < a and _bridge_search(auto.imgs, func, A, c)[1] is None:
-                return True, {"claim": "pin", "c": c, "w": list(word), "start_size": a}
-        if depth == _PIN_WORD_LEN:
-            break
-        nxt = []
-        for func, A, word in frontier:
-            for j, (table, img) in enumerate(zip(auto.tables, auto.imgs)):
-                child = tuple(map(table.__getitem__, func))
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append((child, img[A], word + (j,)))
-        frontier = nxt
-    return True, None
+
+    def fails(node):
+        func, A = node
+        a = A.bit_count()
+        return rank < a and _bridge_search(auto.imgs, func, A, n - a + 1)[1] is None
+
+    steps = [_PinStep(table, img) for table, img in zip(auto.tables, auto.imgs)]
+    parent, hit = _bfs(steps, (tuple(range(n)), auto.full), fails, _PIN_WORD_LEN)
+    if hit is None:
+        return True, None
+    a = hit[1].bit_count()
+    word = _word_to(steps, range(len(steps)), parent, hit)
+    return True, {"claim": "pin", "c": n - a + 1, "w": list(word), "start_size": a}
 
 
 CHECKS = {

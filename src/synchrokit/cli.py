@@ -22,7 +22,7 @@ from .automaton import (
     parse_word,
     serialize_dfa,
 )
-from .construct import _corank3_certified, corank2_word, pin_extension, sync_pipeline
+from .construct import corank2_word, corank3_word, pin_extension, sync_pipeline
 from .errors import (
     BudgetExceeded,
     CertificateContradiction,
@@ -267,7 +267,7 @@ def cmd_classify(args):
 def cmd_construct(args):
     dfa = _read_dfa(args.file)
     cert = certify(dfa)
-    word, tag = _corank3_certified(dfa, cert)
+    word, tag = corank3_word(dfa, cert)
     image = apply_word(dfa, dfa.full_set(), word)
     word4 = corank2_word(cert)
     _emit(

@@ -83,12 +83,6 @@ def corank3_word(dfa, cert):
     failures = validate_certificate(dfa, cert).failures
     if failures:
         raise HypothesisFailed("certificate does not validate: " + "; ".join(failures))
-    return _corank3_certified(dfa, cert)
-
-
-def _corank3_certified(dfa, cert):
-    """``corank3_word`` for a certificate already validated, such as one
-    from ``certify``: the rank precondition, then the case analysis."""
     if rank(dfa) > dfa.n - 3:
         raise HypothesisFailed("automaton does not compress to size n-3")
     return _corank3_cases(dfa, cert)

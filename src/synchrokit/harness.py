@@ -134,10 +134,8 @@ def random_dfa(n, k, rng):
     """Uniform automaton: every image independently uniform on the states."""
     if not 1 <= n <= MAX_STATES:
         raise ValueError(f"state count {n} out of range 1..{MAX_STATES}")
-    tables = [
-        tuple(rng.randrange(1, n + 1) for _ in range(n)) for _ in range(k)
-    ]
-    return Dfa.from_tables(tables)
+    ((fids, _),) = _draws(rng, n, k, 1)
+    return Dfa.from_tables([tuple(x + 1 for x in _function_table(fid, n)) for fid in fids])
 
 
 def _function_table(fid, n):

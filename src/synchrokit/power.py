@@ -133,26 +133,29 @@ def _normalize_letters(dfa, allowed_letters):
     return tuple(letters)
 
 
-# The most sets one search may discover.  No automaton of at most 18 states
-# has more nonempty subsets, and a sweep (at most 13 states) has 8,191.
+# The most nodes one search may discover.  No automaton of at most 18 states
+# has more nonempty subsets, and a sweep (at most 13 states) has 8,191; the
+# ``pin`` check's walk over state functions can reach it with many letters.
 _SEARCH_BUDGET = 1 << 18
 
 
-def _bfs(images, start_mask, stop=None, max_depth=None):
+def _bfs(images, start, stop=None, max_depth=None):
     """Forward breadth-first search over the power automaton.
 
-    ``images`` are the per-letter subset-image maps (see ``_steppers``),
-    explored in order from a FIFO frontier.  Returns (parent, hit):
-    ``parent`` maps every discovered set to the set it was first reached
-    from (None for the start), in discovery order, and ``hit`` is the first
-    discovered set satisfying ``stop`` -- the start included -- or None
-    when the search ends, or reaches ``max_depth``, without one.  Raises
-    ``BudgetExceeded`` once more than ``_SEARCH_BUDGET`` sets are discovered.
+    ``images`` are the per-letter maps, indexed by node, explored in order
+    from a FIFO frontier: a node is a set with the subset-image maps (see
+    ``_steppers``), or the pin check's (state function, image).  Returns
+    (parent, hit): ``parent`` maps every discovered node to the node it was
+    first reached from (None for the start), in discovery order, and
+    ``hit`` is the first discovered node satisfying ``stop`` -- the start
+    included -- or None when the search ends, or reaches ``max_depth``,
+    without one.  Raises ``BudgetExceeded`` once more than
+    ``_SEARCH_BUDGET`` nodes are discovered.
     """
-    parent = {start_mask: None}
-    if stop is not None and stop(start_mask):
-        return parent, start_mask
-    frontier = [start_mask]
+    parent = {start: None}
+    if stop is not None and stop(start):
+        return parent, start
+    frontier = [start]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1

@@ -146,7 +146,6 @@ class _View:
     """Scratch view of an automaton in certificate numbering (1-based states)."""
 
     def __init__(self, dfa, renumbering):
-        self.n = dfa.n
         self.tables = renumbered_tables(dfa, renumbering)
         self.images = [_ImageMap(table) for table in self.tables]
         self.full = (1 << dfa.n) - 1
@@ -178,9 +177,6 @@ class _View:
             seen.append(current)
             current = self.act(current, letter)
         return tuple(seen)
-
-    def is_permutation(self, letter):
-        return len(set(self.tables[letter])) == self.n
 
 
 def _initial_renumbering(n, missing, partner):
@@ -345,7 +341,7 @@ def validate_certificate(dfa, cert):
         failures.append("clause (ii): 1a != 2")
 
     for s in range(dfa.k):
-        if view.is_permutation(s):
+        if dfa.is_permutation_letter(s):  # renumbering keeps a permutation one
             continue
         pm = _merged_pair(view.tables[s])
         if pm is None:

@@ -166,11 +166,15 @@ class TestStructureVerbs:
         assert payload["word"] == "baaabaaab"
         assert payload["case"]["case"] == "CASE_I" and payload["case"]["qb_is_3"]
 
-    def test_construct_validates_once(self, capsys, monkeypatch):
+    def test_construct_extracts_the_certificate_once(self, capsys, monkeypatch):
+        # certify extracts and validates; corank3_word validates again, a
+        # letter-level check, rather than trusting where the certificate
+        # came from.
+        extracted = _count_calls(monkeypatch, structure.extract_certificate)
         validated = _count_calls(monkeypatch, structure.validate_certificate)
         code, _, _ = run_cli(capsys, "construct", fixture_path("e5.dfa"))
         assert code == 0
-        assert len(validated) == 1
+        assert (len(extracted), len(validated)) == (1, 2)
 
     def test_construct_needs_rank_n_minus_3(self, capsys, tmp_path):
         # The certificate validates, but nothing compresses to size n-3.

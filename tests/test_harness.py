@@ -44,6 +44,7 @@ from oracles import (
     brute_pin,
     literal_reports,
     qualifying_words,
+    random_dfa_tables,
     random_dfas,
 )
 
@@ -220,6 +221,13 @@ class TestRandomDfa:
         a = random_dfa(5, 2, random.Random(42))
         b = random_dfa(5, 2, random.Random(42))
         assert a == b
+        # The draws are those of the literal stream of uniform images.
+        from synchrokit import Dfa
+
+        for n, k in ((1, 1), (5, 2), (13, 3), (64, 2)):
+            ours, literal = random.Random(n), random.Random(n)
+            for _ in range(20):
+                assert random_dfa(n, k, ours) == Dfa.from_tables(random_dfa_tables(literal, n, k))
 
     def test_capacity(self):
         with pytest.raises(ValueError):
@@ -242,8 +250,8 @@ class TestRandomDfa:
 
     def test_block_iteration_equals_public_enumeration(self):
         # Exhaustive enumeration is the literal lexicographic product of
-        # tables; random mode is the random_dfa stream, reseeded at every
-        # block, each draw of weight 1.
+        # tables; random mode is the stream of uniform images, reseeded at
+        # every block, each draw of weight 1.
         from synchrokit import Dfa
 
         def one_based(tables):
@@ -258,7 +266,8 @@ class TestRandomDfa:
         literal = []
         for start in range(0, count, _BLOCK):
             rng = random.Random(seed * 1_000_003 + start)
-            literal.extend(random_dfa(4, 2, rng) for _ in range(min(_BLOCK, count - start)))
+            literal.extend(Dfa.from_tables(random_dfa_tables(rng, 4, 2))
+                           for _ in range(min(_BLOCK, count - start)))
         sc = scope(4, 2, mode="random", sample_count=count, rng_seed=seed)
         assert list(enumerate_dfas(sc)) == literal
         second_block = list(_iter_block(sc, range(_BLOCK, count)))
@@ -612,6 +621,19 @@ class TestKernelAgainstPublic:
             assert check_pin(auto, {}) == (claimed <= dfa.n - 1, expected)
         assert check_pin(Auto(4, permutations.letters), {}) == (False, None)
         assert (1, 0) in violations and len(violations) > 3
+
+    def test_pin_walk_has_the_search_budget(self, capsys, monkeypatch):
+        # No search over the sets of five states discovers more than 31 of
+        # them, but the walk over the functions of words of up to 6 letters
+        # can: this automaton's walk finds 107 functions.
+        monkeypatch.setattr(power, "_SEARCH_BUDGET", 31)
+        dfa = random_dfas(1, 4, 5, 2)[3]
+        with pytest.raises(BudgetExceeded, match=r"discovered \d+ sets") as err:
+            check_pin(Auto(dfa.n, dfa.letters), {})
+        assert err.value.count > 31
+        argv = ["verify", "pin", "--n", "5", "--k", "2", "--samples", "10", "--seed", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: power-automaton search discovered")
 
     def test_greedy_flags_match_public_checks(self):
         # The sweep flags and the public checks share one decision

@@ -1,7 +1,7 @@
 """Sweep reports compared byte for byte with committed expected text.
 
 The expected files in ``tests/golden/`` hold the rendered reports of
-fixed random scopes, one report after another in theorem-id order.  A
+fixed scopes, one report after another in theorem-id order.  A
 change to the sweep kernel or to anything it calls must leave them
 unchanged.  If a change means to alter a report, regenerate every file
 with ``write_reports`` and review the diff:
@@ -21,6 +21,9 @@ from test_acceptance import SWEEP5_IDS
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 GOLDEN = {
+    # The whole two-letter 4-state population, one orbit representative
+    # each, weighted by its orbit size.
+    "n4_k2_exhaustive": (EnumerationScope(4, 2), THEOREM_IDS),
     # Every id is applicable here, and pipeline, greedy-stages, lemmaX,
     # corank2-cert and greedy-equiv all carry stats.
     "n4_k2_random3000_seed1": (
