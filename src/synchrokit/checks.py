@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .automaton import Dfa, serialize_dfa
+from .automaton import Dfa, default_names, serialize_dfa
 from .construct import _bridge_search, _corank3_cases, _pipeline
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
 from .power import _bfs, _depth, _first_le, _rank_search, _word_to, subset_images_for_table
@@ -130,9 +130,7 @@ class Auto:
 
     def dfa(self):
         if self._dfa is None:
-            self._dfa = Dfa.from_tables(
-                [tuple(x + 1 for x in t) for t in self.tables]
-            )
+            self._dfa = Dfa(self.n, self.tables, default_names(len(self.tables)))
         return self._dfa
 
     def certificate(self):

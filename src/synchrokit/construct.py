@@ -2,7 +2,8 @@
 
 Given a structural certificate, ``corank2_word`` emits the canonical
 4-step word reaching size n-2, and ``corank3_word`` runs the four-case
-construction producing a word of length at most 9 reaching size n-3.
+construction producing a word of length at most 9 reaching size n-3,
+whose case IV looks ahead by one ``power._bfs`` search of 2 letters.
 ``pin_extension`` finds the bounded bridge word m with |Q.w.m.w| <= n-c
 and |m| <= c, ``franklpin_word`` realizes the c(c+1)/2 step bound from an
 arbitrary subset, and ``sync_pipeline`` chains the two into a full
@@ -209,31 +210,21 @@ def _corank3_cases(dfa, cert):
     base = (b, a, d, b)
     R = view.word_image(view.full, base)
     letters4 = sorted({a, b, d, s_letter})
-    # Breadth-first over words of length <= 2 in lex order; the first set
-    # meeting the core in two states continues the construction, and a set
-    # already at size n-3 finishes the word outright.
-    candidates = [((), R)]
-    for first in letters4:
-        S1 = view.image(R, first)
-        candidates.append(((first,), S1))
-    for first in letters4:
-        S1 = view.image(R, first)
-        for second in letters4:
-            candidates.append(((first, second), view.image(S1, second)))
-    chosen = None
-    for mid, S in candidates:
-        if S.bit_count() == n - 3:
-            return finish(
-                base + mid,
-                CaseTag("CASE_IV", s_letter=s_letter, s3_in_core=s3_in_core,
-                        route="early size n-3"),
-            )
-        if (S & core).bit_count() >= 2:
-            chosen = (mid, S)
-            break
-    if chosen is None:
+    # Breadth-first over words of length <= 2 in (length, lex) order; the
+    # first set meeting the core in two states continues the construction,
+    # and a set already at size n-3 finishes the word outright.
+    images = [view.images[s] for s in letters4]
+    stop = lambda T: T.bit_count() == n - 3 or (T & core).bit_count() >= 2
+    parent, S = _bfs(images, R, stop, 2)
+    if S is None:
         raise contradiction("case IV: no two-step image meets the core twice")
-    mid, S = chosen
+    mid = _word_to(images, letters4, parent, S)
+    if S.bit_count() == n - 3:
+        return finish(
+            base + mid,
+            CaseTag("CASE_IV", s_letter=s_letter, s3_in_core=s3_in_core,
+                    route="early size n-3"),
+        )
     if S & pair(2, s3) == pair(2, s3):
         suffix, route = (a, d), "pair {2,3}"
     elif S & pair(1, s3) == pair(1, s3):

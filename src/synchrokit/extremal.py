@@ -10,9 +10,10 @@ fixing 3 and 4; (4) every qualifying word has length exactly 9 and the
 fixed size profile (n-1 four times, n-2 four times, n-3).  Conditions
 (1) and (4), and the hypothesis, are decided by the searches that spell
 their witnesses (``_greedy_flags``, shared with the verification sweep);
-none of them goes beyond 9 letters, so they take any n.  (2) and (3) are
-decided independently of them and of each other.  The module asserts
-the equivalence and builds the extremal witness family.
+none of them goes beyond 9 letters, so they take any n.  (2) runs the
+fat-prefix scan of (1) on its own prefixes b.a.?.b, and (3) is decided
+independently of the others.  The module asserts the equivalence and
+builds the extremal witness family.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def _greedy_flags(n, tables):
     if hit is None:
         return False, True, True, None
     t = _depth(parent, hit)
-    fat = _fat_prefix_word(n, tables) if t > 3 else None
+    every_prefix = itertools.product(range(len(tables)), repeat=4)
+    fat = _fat_prefix_word(n, tables, every_prefix) if t > 3 else None
     deviating = _deviating_word(n, tables) if t > 8 else None
     return True, t > 3 and fat is None, t > 8 and deviating is None, (parent, hit, fat, deviating)
 
@@ -155,10 +157,11 @@ def _condition_1_witness(tables, words):
     return _word_to(tables, range(len(tables)), parent, hit) if fat is None else fat
 
 
-def _fat_prefix_word(n, tables):
-    """The least 4-letter prefix of size <= n-2 that reaches size n-3 within
-    five more letters, completed by its least shortest such word, or None."""
-    for prefix in itertools.product(range(len(tables)), repeat=4):
+def _fat_prefix_word(n, tables, prefixes):
+    """The first of the 4-letter ``prefixes`` whose image has size <= n-2
+    and reaches size n-3 within five more letters, completed by its least
+    shortest such word, or None."""
+    for prefix in prefixes:
         S = (1 << n) - 1
         for j in prefix:
             S = tables[j][S]
@@ -244,41 +247,16 @@ def check_condition_2(dfa):
 def _condition_2(dfa, cert):
     if cert is None:
         return Condition2Result(False, None, None)
-    n = dfa.n
     u, v = cert.renumbering.index(1), cert.renumbering.index(2)
     shapes = [_adb1_shape(table, u, v) for table in dfa.letters]
     b_candidates = [s for s in range(dfa.k) if shapes[s] == "B1"]
     a_candidates = [s for s in range(dfa.k) if shapes[s] == "AD" and dfa.letters[s][u] == v]
-    # Search order: the certificate's own a first, then letters fixing 1
-    # and swapping the orbit diagonal, then the rest.  ``holds`` tries them
-    # all, so only the reported witness depends on this order.
-    def w3_order():
-        ranked = [cert.a_letter]
-        if len(cert.X) == 4:
-            x = [cert.renumbering.index(label) for label in cert.X]
-            for s, t in enumerate(dfa.letters):
-                if s in ranked:
-                    continue
-                if (
-                    shapes[s] == "AD"
-                    and t[u] == u
-                    and t[x[1]] == x[3]
-                    and t[x[2]] == x[2]
-                    and t[x[3]] == x[1]
-                ):
-                    ranked.append(s)
-        ranked.extend(s for s in range(dfa.k) if s not in ranked)
-        return ranked
-
-    images = subset_image_tables(dfa)
-    for b in b_candidates:
-        for a in a_candidates:
-            ba = images[a][images[b][(1 << n) - 1]]
-            for w3 in w3_order():
-                S = images[b][images[w3][ba]]
-                if S.bit_count() <= n - 2 and _exact_word_within(images, S, n - 3, 5) is not None:
-                    return Condition2Result(False, cert, (b, a, w3, b))
-    return Condition2Result(True, cert, None)
+    # The certificate's own a is tried first; ``holds`` tries every w3, so
+    # only the reported witness depends on this order.
+    w3_order = [cert.a_letter] + [s for s in range(dfa.k) if s != cert.a_letter]
+    prefixes = ((b, a, w3, b) for b in b_candidates for a in a_candidates for w3 in w3_order)
+    word = _fat_prefix_word(dfa.n, subset_image_tables(dfa), prefixes)
+    return Condition2Result(word is None, cert, None if word is None else word[:4])
 
 
 def classify_greedy_letter(dfa, s, numbering):

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from operator import mul
 
-from .automaton import MAX_STATES, Dfa
+from .automaton import MAX_STATES, Dfa, default_names
 from .checks import CHECKS, THEOREM_IDS, Auto
 from .power import subset_images_for_table
 from .errors import (BudgetExceeded, CertificateContradiction, ConstructionContradiction,
@@ -135,7 +135,7 @@ def random_dfa(n, k, rng):
     if not 1 <= n <= MAX_STATES:
         raise ValueError(f"state count {n} out of range 1..{MAX_STATES}")
     ((fids, _),) = _draws(rng, n, k, 1)
-    return Dfa.from_tables([tuple(x + 1 for x in _function_table(fid, n)) for fid in fids])
+    return Dfa(n, tuple(_function_table(fid, n) for fid in fids), default_names(k))
 
 
 def _function_table(fid, n):
@@ -158,7 +158,7 @@ def enumerate_dfas(scope):
         blocks = [zip(fids, itertools.repeat(1))]
     for block in blocks:
         for tables, _imgs, _weight in _iter_block(scope, block):
-            yield Dfa.from_tables([tuple(x + 1 for x in t) for t in tables])
+            yield Dfa(scope.n, tables, default_names(scope.k))
 
 
 def _check_budget(scope):

@@ -172,8 +172,9 @@ def _bfs(images, start, stop=None, max_depth=None):
                         return parent, T
                     nxt.append(T)
             if careful and len(parent) > _SEARCH_BUDGET:
+                nodes = "sets" if isinstance(start, int) else "state functions"
                 raise BudgetExceeded(
-                    f"power-automaton search discovered {len(parent)} sets, "
+                    f"power-automaton search discovered {len(parent)} {nodes}, "
                     f"budget is {_SEARCH_BUDGET}",
                     count=len(parent),
                 )

@@ -195,6 +195,55 @@ def adb1_pairs(dfa):
     ]
 
 
+def adb1_letters(n):
+    """Every 1-based table on n states that is AD or B1 (see
+    adb1_shape) under u, v = 1, 2: the permutations sending 1 into {1, 2},
+    then the maps sending 1 and 2 to one state whose image misses only 1."""
+    states = range(1, n + 1)
+    perms = [p for p in itertools.permutations(states) if p[0] in (1, 2)]
+    merges = [(x, x) + rest for x in states[1:]
+              for rest in itertools.permutations([y for y in states[1:] if y != x])]
+    return perms + merges
+
+
+def brute_condition_2(dfa, cert):
+    """(holds, witness) of greedy condition (2) under the certificate
+    ``cert``, by literal search.
+
+    Every prefix b.a.w3.b is folded with apply_word: b a B1 letter and a an
+    AD letter sending 1 to 2 (see adb1_shape, under the states labelled 1
+    and 2), both in letter order, and w3 in a ranked order: the
+    certificate's a, then, when the orbit X has 4 states, each AD letter
+    fixing 1 and the third state of X and swapping its second and fourth,
+    then the rest.  The first prefix whose image has at most n-2 states
+    and is taken to exactly n-3 states by some word of at most 5 letters
+    is the witness: condition (2) fails."""
+    n = dfa.n
+    state = {label: q for q, label in enumerate(cert.renumbering, start=1)}
+    u, v = state[1], state[2]
+    shapes = [adb1_shape(dfa, s, u, v) for s in range(dfa.k)]
+    b_letters = [s for s in range(dfa.k) if shapes[s] == "B1"]
+    a_letters = [s for s in range(dfa.k) if shapes[s] == "AD" and dfa.delta(u, s) == v]
+    ranked = [cert.a_letter]
+    if len(cert.X) == 4:
+        _, x2, x3, x4 = (state[label] for label in cert.X)
+        ranked += [s for s in range(dfa.k) if s != cert.a_letter and shapes[s] == "AD"
+                   and (dfa.delta(u, s), dfa.delta(x2, s), dfa.delta(x3, s),
+                        dfa.delta(x4, s)) == (u, x4, x3, x2)]
+    ranked += [s for s in range(dfa.k) if s not in ranked]
+    full = dfa.full_set()
+    for b in b_letters:
+        for a in a_letters:
+            for w3 in ranked:
+                prefix = (b, a, w3, b)
+                image = apply_word(dfa, full, prefix)
+                if len(image) <= n - 2 and any(
+                        len(apply_word(dfa, image, w)) == n - 3
+                        for length in range(6) for w in all_words(dfa.k, length)):
+                    return False, prefix
+    return True, None
+
+
 def quantified_clause_iii(dfa, renumbering):
     """Clause (iii) of the corank-2 certificate in its literal quantified
     form: for every letter s and every set R of states, |Rs| differs from

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from synchrokit import apply_word, load_dfa, power, serialize_dfa, structure
+from synchrokit import (EnumerationScope, apply_word, load_dfa, power, run_check,
+                        serialize_dfa, structure)
+from synchrokit.checks import CHECKS
 from synchrokit.cli import build_parser, main
 
 from conftest import A_REPLACED_FIXTURE, FIXTURES, fixture_path, load_fixture
@@ -250,6 +252,25 @@ class TestVerifyVerb:
         payload = json.loads(out1)
         assert payload["violations"] == 0
         assert "wall_time_s" not in payload
+
+    def test_verify_prints_counterexamples_and_stats(self, capsys, monkeypatch):
+        # A planted check failing on every automaton of rank 2, with a stat:
+        # the summary line, the first 10 counterexamples and the stats line.
+        def planted(auto, stats):
+            stats["planted"] = stats.get("planted", 0) + 1
+            if auto.rank != 2:
+                return False, None
+            return True, {"claim": "corank3", "q": auto.tables[0][0]}
+
+        monkeypatch.setitem(CHECKS, "corank3", planted)
+        report = run_check("corank3", EnumerationScope(3, 2))
+        code, out, _ = run_cli(capsys, "verify", "corank3", "--n", "3", "--k", "2")
+        assert code == 2 and report.violation_count == 144
+        summary, *examples, stats = out.splitlines()
+        assert summary.startswith(f"corank3: checked 729, applicable {report.applicable_count}, "
+                                  "violations 144 (")
+        assert [json.loads(line) for line in examples] == report.counterexamples[:10]
+        assert stats == 'stats: {"planted": 729}'
 
     def test_verify_random_requires_seed(self, capsys):
         code, _, err = run_cli(

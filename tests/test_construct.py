@@ -131,6 +131,39 @@ class TestCorank3Word:
             seen.add(tag.case)
         assert seen == {"CASE_I", "CASE_II", "CASE_III", "CASE_IV"}
 
+    @pytest.mark.parametrize(
+        "text, word, tag",
+        [
+            ("4 3\n1 1 4 3\n3 2 4 1\n2 1 3 4\n", "acbacbba",
+             {"case": "CASE_II", "route": "mid a, pair {1,r}"}),
+            ("4 3\n1 3 2 2\n3 1 2 4\n2 1 4 3\n", "acbabcbba",
+             {"case": "CASE_II", "route": "mid da, pair {1,r}"}),
+            ("4 3\n1 2 4 3\n3 2 4 3\n4 3 2 1\n", "bcabacab",
+             {"case": "CASE_III", "route": "pair {3,r}", "b3_is_4": False}),
+            # Case IV continues from the first set, in (length, lex) order of
+            # the look-ahead words of at most 2 letters, meeting the core twice.
+            ("4 3\n1 2 3 1\n2 4 3 1\n4 3 2 1\n", "abbacba",
+             {"case": "CASE_IV", "route": "pair {1,3}", "s": "c", "s3_in_core": False}),
+            ("4 3\n1 2 2 4\n3 1 2 4\n1 4 2 3\n", "abbabcba",
+             {"case": "CASE_IV", "route": "pair {1,3}", "s": "c", "s3_in_core": True}),
+            ("4 3\n1 3 4 2\n1 3 2 3\n2 3 1 4\n", "baabacb",
+             {"case": "CASE_IV", "route": "pair {1,2}", "s": "c", "s3_in_core": False}),
+            ("4 3\n1 1 3 4\n1 1 4 3\n3 1 2 4\n", "accabcca",
+             {"case": "CASE_IV", "route": "pair {2,3}", "s": "b", "s3_in_core": False}),
+            ("4 3\n1 1 3 4\n3 1 2 4\n4 4 1 3\n", "abbabcbba",
+             {"case": "CASE_IV", "route": "pair {2,3}", "s": "c", "s3_in_core": True}),
+        ],
+        ids=["II-1r-mid-a", "II-1r-mid-da", "III-3r", "IV-13-look-1", "IV-13-look-2",
+             "IV-12-look-2", "IV-23-look-1", "IV-23-look-2"],
+    )
+    def test_frozen_routes(self, text, word, tag):
+        # The routes no fixture reaches, found in seeded draws of the AD/B1
+        # family; no draw reached case II "pair {1,2}" or case IV "early
+        # size n-3".
+        dfa = load_dfa(text)
+        got, got_tag = _construct(text)
+        assert (format_word(dfa, got), got_tag.to_json(dfa)) == (word, tag)
+
 
 def _construct(text):
     dfa = load_dfa(text)

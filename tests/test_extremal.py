@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,9 @@ from synchrokit.extremal import classify_greedy_letter
 
 from conftest import A_REPLACED_FIXTURE
 from oracles import (
+    adb1_letters,
     brute_condition_1,
+    brute_condition_2,
     brute_condition_4,
     brute_hypothesis_greedy,
     random_dfas,
@@ -51,9 +54,11 @@ class TestHypothesisGreedy:
     @pytest.mark.parametrize("seed, n, k", [(0, 40, 6), (5, 64, 8)])
     def test_search_budget(self, seed, n, k):
         # The 9-letter search on these many-letter automata discovers over a
-        # million sets; the search budget stops it with the count it reached.
+        # million sets; the search budget stops it with the count it reached,
+        # naming its nodes sets.
         (dfa,) = random_dfas(seed, 1, n, k)
-        with pytest.raises(BudgetExceeded, match=r"discovered \d+ sets") as err:
+        message = rf"^power-automaton search discovered \d+ sets, budget is {power._SEARCH_BUDGET}$"
+        with pytest.raises(BudgetExceeded, match=message) as err:
             hypothesis_greedy(dfa)
         assert err.value.count > power._SEARCH_BUDGET
         assert str(err.value.count) in str(err.value)
@@ -145,6 +150,21 @@ class TestConditionChecks:
         res = check_condition_2(dfa)
         assert not res.holds and res.certificate is None
 
+    def test_condition2_matches_oracle_on_the_n4_k3_family(self):
+        # Every three-letter 4-state automaton whose letters are AD or B1
+        # under the states 1 and 2: 18^3 automata.
+        letters = adb1_letters(4)
+        holders = _assert_condition2_matches_oracle(
+            Dfa.from_tables(tables) for tables in itertools.product(letters, repeat=3))
+        assert (len(letters) ** 3, holders) == (5832, 2160)
+
+    def test_condition2_matches_oracle_on_n5_k3_draws(self):
+        letters = adb1_letters(5)
+        rng = random.Random(22)
+        holders = _assert_condition2_matches_oracle(
+            Dfa.from_tables([rng.choice(letters) for _ in range(3)]) for _ in range(3000))
+        assert holders > 1000
+
     def test_condition3_none_for_c5(self, c5):
         assert check_condition_3(c5) is None
 
@@ -206,6 +226,18 @@ class TestConditionChecks:
             assert assert_equivalence(dfa).consistent
             checked += 1
         assert checked >= 100
+
+
+def _assert_condition2_matches_oracle(dfas):
+    """Compare check_condition_2 with the literal search on every automaton
+    holding a certificate; returns how many did."""
+    holders = 0
+    for dfa in dfas:
+        res = check_condition_2(dfa)
+        if res.certificate is not None:
+            assert (res.holds, res.witness) == brute_condition_2(dfa, res.certificate)
+            holders += 1
+    return holders
 
 
 def _embedded(text, n):

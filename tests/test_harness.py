@@ -625,15 +625,19 @@ class TestKernelAgainstPublic:
     def test_pin_walk_has_the_search_budget(self, capsys, monkeypatch):
         # No search over the sets of five states discovers more than 31 of
         # them, but the walk over the functions of words of up to 6 letters
-        # can: this automaton's walk finds 107 functions.
+        # can: this automaton's walk finds 107 functions, and the error
+        # names them so.
         monkeypatch.setattr(power, "_SEARCH_BUDGET", 31)
         dfa = random_dfas(1, 4, 5, 2)[3]
-        with pytest.raises(BudgetExceeded, match=r"discovered \d+ sets") as err:
+        message = r"^power-automaton search discovered \d+ state functions, budget is 31$"
+        with pytest.raises(BudgetExceeded, match=message) as err:
             check_pin(Auto(dfa.n, dfa.letters), {})
         assert err.value.count > 31
         argv = ["verify", "pin", "--n", "5", "--k", "2", "--samples", "10", "--seed", "1"]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: power-automaton search discovered")
+        err = capsys.readouterr().err
+        assert err.startswith("error: power-automaton search discovered")
+        assert err.endswith(" state functions, budget is 31\n")
 
     def test_greedy_flags_match_public_checks(self):
         # The sweep flags and the public checks share one decision
