@@ -3,7 +3,8 @@
 Given a structural certificate, ``corank2_word`` emits the canonical
 4-step word reaching size n-2, and ``corank3_word`` runs the four-case
 construction producing a word of length at most 9 reaching size n-3,
-whose case IV looks ahead by one ``power._bfs`` search of 2 letters.
+whose case IV looks ahead by one ``power._bfs`` search of 2 letters,
+stopped only on meeting the core twice.
 ``pin_extension`` finds the bounded bridge word m with |Q.w.m.w| <= n-c
 and |m| <= c, ``franklpin_word`` realizes the c(c+1)/2 step bound from an
 arbitrary subset, and ``sync_pipeline`` chains the two into a full
@@ -151,14 +152,14 @@ def _corank3_cases(dfa, cert):
         if len(hits_three) != 1:
             raise contradiction("case II: no unique outside state mapping to 3 under d")
         r = hits_three[0]
+        # R1 never holds {1,2}: Q.badb misses 1, the permutation d fixes 1 and
+        # the permutation a takes 1 to 2, so Q.badb.a and Q.badb.d.a miss 2.
         if R1 & pair(1, r) == pair(1, r):
             suffix, route = (d, d), "pair {1,r}"
         elif R1 & pair(1, 3) == pair(1, 3):
             suffix, route = (d,), "pair {1,3}"
-        elif R1 & pair(1, 2) == pair(1, 2):
-            suffix, route = (), "pair {1,2}"
         else:
-            raise contradiction("case II: none of {1,r}, {1,3}, {1,2} in the transported set")
+            raise contradiction("case II: neither {1,r} nor {1,3} in the transported set")
         return finish(
             base + mid + suffix + (b,),
             CaseTag("CASE_II", route=f"mid {'a' if mid == (a,) else 'da'}, {route}"),
@@ -211,20 +212,15 @@ def _corank3_cases(dfa, cert):
     R = view.word_image(view.full, base)
     letters4 = sorted({a, b, d, s_letter})
     # Breadth-first over words of length <= 2 in (length, lex) order; the
-    # first set meeting the core in two states continues the construction,
-    # and a set already at size n-3 finishes the word outright.
+    # first set meeting the core in two states continues the construction.
+    # None reaches size n-3 first: by clause (iii) a set shrinks only when
+    # it holds {1,2}, and R misses 1, so a shrinking set is a later one,
+    # which meets the core twice and is discovered before its image.
     images = [view.images[s] for s in letters4]
-    stop = lambda T: T.bit_count() == n - 3 or (T & core).bit_count() >= 2
-    parent, S = _bfs(images, R, stop, 2)
+    parent, S = _bfs(images, R, lambda T: (T & core).bit_count() >= 2, 2)
     if S is None:
         raise contradiction("case IV: no two-step image meets the core twice")
     mid = _word_to(images, letters4, parent, S)
-    if S.bit_count() == n - 3:
-        return finish(
-            base + mid,
-            CaseTag("CASE_IV", s_letter=s_letter, s3_in_core=s3_in_core,
-                    route="early size n-3"),
-        )
     if S & pair(2, s3) == pair(2, s3):
         suffix, route = (a, d), "pair {2,3}"
     elif S & pair(1, s3) == pair(1, s3):

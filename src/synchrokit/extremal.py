@@ -9,8 +9,10 @@ identity on {1,2,3,4}, the 4-cycle 1->2->3->4->1, or the {1,2}-merge
 fixing 3 and 4; (4) every qualifying word has length exactly 9 and the
 fixed size profile (n-1 four times, n-2 four times, n-3).  Conditions
 (1) and (4), and the hypothesis, are decided by the searches that spell
-their witnesses (``_greedy_flags``, shared with the verification sweep);
-none of them goes beyond 9 letters, so they take any n.  (2) runs the
+their witnesses (``_greedy_flags``, shared with the verification sweep).
+Each is a ``power._bfs`` call under the search budget, and none goes
+beyond 9 letters, so they take any n; a late failure of (4) is witnessed
+by the least 9-letter word leaving the forced profile.  (2) runs the
 fat-prefix scan of (1) on its own prefixes b.a.?.b, and (3) is decided
 independently of the others.  The module asserts the equivalence and
 builds the extremal witness family.
@@ -125,14 +127,6 @@ def _decide(dfa):
     return tables, _greedy_flags(dfa.n, tables)
 
 
-def _exact_word_within(images, start_mask, target_size, steps):
-    """The lexicographically least shortest word of at most ``steps`` letters
-    taking ``start_mask`` to a set of size exactly ``target_size``, or None;
-    ``images`` holds one subset-image map per letter."""
-    parent, hit = _bfs(images, start_mask, lambda T: T.bit_count() == target_size, steps)
-    return None if hit is None else _word_to(images, range(len(images)), parent, hit)
-
-
 def hypothesis_greedy(dfa):
     """True when some word of length <= 9 reaches size exactly n-3."""
     return _decide(dfa)[1][0]
@@ -166,46 +160,38 @@ def _fat_prefix_word(n, tables, prefixes):
         for j in prefix:
             S = tables[j][S]
         if S.bit_count() <= n - 2:
-            completion = _exact_word_within(tables, S, n - 3, 5)
-            if completion is not None:
-                return prefix + completion
+            parent, hit = _bfs(tables, S, lambda T: T.bit_count() == n - 3, 5)
+            if hit is not None:
+                return prefix + _word_to(tables, range(len(tables)), parent, hit)
     return None
 
 
+class _ProfileStep:
+    """One letter of ``_deviating_word``'s search, over nodes (S, t): a set,
+    and how many letters kept to ``_profile(n)`` (-1, for good, once one did not)."""
+
+    __slots__ = ("image", "profile")
+
+    def __init__(self, image, profile):
+        self.image = image
+        self.profile = profile
+
+    def __getitem__(self, node):
+        S, t = node
+        T = self.image[S]
+        return T, (t + 1 if t >= 0 and T.bit_count() == self.profile[t + 1] else -1)
+
+
 def _deviating_word(n, tables):
-    """A length-9 word to size n-3 whose size profile leaves the forced
-    one, spelled from the layers of on-profile and deviated sets, or None."""
-    profile = _profile(n)
-    on_profile = {(1 << n) - 1: None}
-    deviated = {}
-    # trace[t][0] and trace[t][1] link every on-profile and deviated set of
-    # layer t to (parent, letter, 0 or 1 for the parent's side).
-    trace = [(on_profile, deviated)]
-    for t in range(1, 10):
-        new_on = {}
-        new_dev = {}
-        for S in on_profile:
-            for j, table in enumerate(tables):
-                T = table[S]
-                if T.bit_count() == profile[t]:
-                    new_on.setdefault(T, (S, j, 0))
-                else:
-                    new_dev.setdefault(T, (S, j, 0))
-        for S in deviated:
-            for j, table in enumerate(tables):
-                new_dev.setdefault(table[S], (S, j, 1))
-        on_profile, deviated = new_on, new_dev
-        trace.append((on_profile, deviated))
-    node = next((S for S in deviated if S.bit_count() == n - 3), None)
-    if node is None:
-        return None
-    side = 1
-    word = []
-    for t in range(9, 0, -1):
-        node, letter, side = trace[t][side][node]
-        word.append(letter)
-    word.reverse()
-    return tuple(word)
+    """The least 9-letter word to size n-3 leaving the forced size profile,
+    or None.  Precondition, which ``_greedy_flags`` ensures: no word of at
+    most 8 letters reaches size n-3.  So a set off the profile keeps one
+    node, at its least depth j, losing no hit: at depth j' > j of a 9-letter
+    word to n-3, it would give one of j + 9 - j' < 9 letters."""
+    steps = [_ProfileStep(table, _profile(n)) for table in tables]
+    stop = lambda node: node[1] < 0 and node[0].bit_count() == n - 3
+    parent, hit = _bfs(steps, ((1 << n) - 1, 0), stop, 9)
+    return None if hit is None else _word_to(steps, range(len(steps)), parent, hit)
 
 
 def check_condition_4(dfa):

@@ -4,16 +4,16 @@ This module is the oracle everything else is checked against: exact
 shortest compressing words, size profiles, and the stage-wise greedy
 compressor.  It owns the power-automaton primitives the rest of the
 package builds on: the subset-image tables, the per-letter steppers, and
-the one forward search with lexicographically least parent links, which
-the verification sweep's kernel runs too.  All searches run over the
-forward closure of the start set only, never the full subset lattice.
+``_bfs``, the one forward search, with lexicographically least parent
+links.  Every forward search in the package runs on it, over the forward
+closure of its start only, never the full subset lattice.
 A search looks images up in one cached map per letter: up to 8 states
 the full subset-image table, above that a byte-sliced map (one 256-entry
 table per block of 8 states, ORed per byte of the set), so no search
 builds a table of more than 256 entries.  Code that takes the images of
-only a few sets walks their bits instead (``_ImageMap``).
-The rank (the minimum reachable image size) needs no such search: pair
-merging on the pair automaton finds it in polynomial time.
+only a few sets walks their bits instead (``_ImageMap``).  The reverse
+searches are ``rank``, pair merging on the pair automaton in polynomial
+time, and ``checks.Auto.backward_within``.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def _bfs(images, start, stop=None, max_depth=None):
 
     ``images`` are the per-letter maps, indexed by node, explored in order
     from a FIFO frontier: a node is a set with the subset-image maps (see
-    ``_steppers``), or the pin check's (state function, image).  Returns
+    ``_steppers``), or a pair led by a set or by the pin check's state
+    function, which names the nodes in the budget error.  Returns
     (parent, hit): ``parent`` maps every discovered node to the node it was
     first reached from (None for the start), in discovery order, and
     ``hit`` is the first discovered node satisfying ``stop`` -- the start
@@ -172,7 +173,8 @@ def _bfs(images, start, stop=None, max_depth=None):
                         return parent, T
                     nxt.append(T)
             if careful and len(parent) > _SEARCH_BUDGET:
-                nodes = "sets" if isinstance(start, int) else "state functions"
+                first = start[0] if isinstance(start, tuple) else start
+                nodes = "sets" if isinstance(first, int) else "state functions"
                 raise BudgetExceeded(
                     f"power-automaton search discovered {len(parent)} {nodes}, "
                     f"budget is {_SEARCH_BUDGET}",

@@ -132,6 +132,21 @@ def brute_condition_4(dfa, words=None):
     return True
 
 
+def brute_deviating_word(dfa):
+    """The first 9-letter word, in itertools.product order, taking the full
+    set to size exactly n-3 with a size profile other than the forced one
+    (n-1 four times, n-2 four times, n-3), or None."""
+    n = dfa.n
+    full = dfa.full_set()
+    forced = (n, n - 1, n - 1, n - 1, n - 1, n - 2, n - 2, n - 2, n - 2, n - 3)
+    for w in all_words(dfa.k, 9):
+        if len(apply_word(dfa, full, w)) != n - 3:
+            continue
+        if tuple(len(apply_word(dfa, full, w[:i])) for i in range(10)) != forced:
+            return w
+    return None
+
+
 def brute_hypothesis_greedy(dfa):
     return bool(qualifying_words(dfa))
 

@@ -24,6 +24,7 @@ from synchrokit import (
     shortest_compressing_word,
 )
 from synchrokit import extremal, power, structure
+from synchrokit.cli import main
 from synchrokit.extremal import classify_greedy_letter
 
 from conftest import A_REPLACED_FIXTURE
@@ -32,7 +33,9 @@ from oracles import (
     brute_condition_1,
     brute_condition_2,
     brute_condition_4,
+    brute_deviating_word,
     brute_hypothesis_greedy,
+    qualifying_words,
     random_dfas,
 )
 from test_construct import _cerny
@@ -62,6 +65,24 @@ class TestHypothesisGreedy:
             hypothesis_greedy(dfa)
         assert err.value.count > power._SEARCH_BUDGET
         assert str(err.value.count) in str(err.value)
+
+    def test_deviating_search_budget_names_sets(self, capsys, monkeypatch, tmp_path):
+        # On this automaton the first search discovers 12 sets and the
+        # deviating-word search 40 nodes (set, profile depth): a budget of 20
+        # stops the latter, and its error names its nodes sets.
+        monkeypatch.setattr(power, "_SEARCH_BUDGET", 20)
+        calls = _count_calls(monkeypatch, extremal._deviating_word)
+        dfa = build_extremal_dfa(9)
+        message = r"^power-automaton search discovered \d+ sets, budget is \d+$"
+        with pytest.raises(BudgetExceeded, match=message) as err:
+            assert_equivalence(dfa)
+        assert len(calls) == 1 and err.value.count > 20
+        path = tmp_path / "extremal9.dfa"
+        path.write_text(serialize_dfa(dfa))
+        assert main(["greedy-conditions", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power-automaton search discovered ")
+        assert err.endswith(" sets, budget is 20\n")
 
 
 class TestConditionChecks:
@@ -109,9 +130,9 @@ class TestConditionChecks:
     @pytest.mark.parametrize(
         "text, witness1, witness4",
         [
-            # (4) fails late: the deviating word spelled differs from the
-            # least one, abbaaabba.
-            ("5 2\n2 4 5 1 5\n2 4 5 3 1\n", "abbaaabba", "abbbbabba"),
+            # (4) fails late: its witness is the least 9-letter word leaving
+            # the forced profile, which is (1)'s fat-prefix witness too.
+            ("5 2\n2 4 5 1 5\n2 4 5 3 1\n", "abbaaabba", "abbaaabba"),
             # (1) fails late: no qualifying word is shorter than 4 letters.
             ("4 2\n1 1 1 4\n4 1 1 2\n", "aaaabba", "abba"),
         ],
@@ -125,6 +146,27 @@ class TestConditionChecks:
         assert not cond4 and format_word(dfa, word4) == witness4
         report = assert_equivalence(dfa)
         assert (report.witness1, report.witness4) == (word1, word4)
+
+    def test_deviating_word_matches_oracle(self):
+        # Seeded automata whose qualifying words all have 9 letters, where (4)
+        # fails, if at all, through a word leaving the forced profile: the
+        # witness is the least such word.  Most come from AD/B1 draws, which
+        # hold many more such automata than uniform draws.
+        rng = random.Random(23)
+        dfas = random_dfas(23, 10000, 4, 2)
+        for n, k in [(4, 2), (5, 2), (4, 3), (5, 3), (6, 2)]:
+            letters = adb1_letters(n)
+            dfas += [Dfa.from_tables([rng.choice(letters) for _ in range(k)]) for _ in range(1000)]
+        late = deviating = 0
+        for dfa in dfas:
+            holds, word = check_condition_4(dfa)
+            if not hypothesis_greedy(dfa) or word is not None and len(word) < 9:
+                continue
+            assert {len(w) for w in qualifying_words(dfa)} == {9}
+            assert word == brute_deviating_word(dfa) and holds == (word is None)
+            late += 1
+            deviating += word is not None
+        assert (late, deviating) == (100, 66)
 
     @pytest.mark.parametrize(
         "text, witness2",
@@ -199,7 +241,7 @@ class TestConditionChecks:
         dfa = _embedded(_LATE_FAILURES[0], 9)
         report = assert_equivalence(dfa)
         assert len(calls) == 1
-        assert (report.cond4, report.witness4) == (False, (0, 1, 1, 1, 1, 0, 1, 1, 0))
+        assert (report.cond4, report.witness4) == (False, (0, 1, 1, 0, 0, 0, 1, 1, 0))
         assert check_condition_4(dfa) == (False, report.witness4) and len(calls) == 2
 
     def test_equivalence_extracts_the_certificate_once(self, monkeypatch):
@@ -292,9 +334,9 @@ class TestConditionsOnMaps:
         outcomes = _greedy_outcomes(dfas)
         # Every automaton whose qualifying words all have 9 letters runs the
         # deviating-word search; only the embedded late failure of (4) has a
-        # deviating word, abbbbabba, and it has it at every n.
+        # deviating word, abbaaabba, and it has it at every n.
         assert all(called.values()) and {(n, word) for n, word in deviations if word} == {
-            (n, (0, 1, 1, 1, 1, 0, 1, 1, 0)) for n in range(9, 14)}
+            (n, (0, 1, 1, 0, 0, 0, 1, 1, 0)) for n in range(9, 14)}
         assert [type(images[0]) for images in map(power.subset_image_tables, dfas)] == [
             power._TwoByteImageMap] * len(dfas)
         assert sum(not out[0]["cond1"] for out in outcomes) >= 20
