@@ -192,13 +192,11 @@ class _ImageMap:
 
 def apply_letter(dfa, R, s):
     """The image set { q.s : q in R }."""
-    _check_letter(dfa, s)
-    _check_subset(dfa, R)
-    return StateSet(_ImageMap(dfa.letters[s])[R.mask])
+    return apply_word(dfa, R, (s,))
 
 
 def apply_word(dfa, R, w):
-    """Left fold of apply_letter; the empty word acts as the identity."""
+    """The image set R.w, letter by letter; the empty word acts as the identity."""
     _check_subset(dfa, R)
     for s in w:
         _check_letter(dfa, s)
@@ -326,9 +324,10 @@ def dfa_from_json(obj):
         for value in table:
             if type(value) is not int or not 1 <= value <= n:
                 raise ParseError(f"letter {j}: entry {value!r} out of range 1..{n}")
-        tables.append(tuple(table))
+        tables.append(tuple(value - 1 for value in table))
+    names = default_names(len(tables)) if names is None else tuple(names)
     try:
-        return Dfa.from_tables(tables, tuple(names) if names is not None else None)
+        return Dfa(n, tuple(tables), names)
     except ValueError as e:
         raise ParseError(str(e)) from None
 

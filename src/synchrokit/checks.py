@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .automaton import Dfa, default_names, serialize_dfa
+from .automaton import Dfa, StateSet, default_names, serialize_dfa
 from .construct import _bridge_search, _corank3_cases, _pipeline
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
 from .power import _bfs, _depth, _first_le, _rank_search, _word_to, subset_images_for_table
@@ -189,7 +189,7 @@ def check_franklpin(auto, stats):
                 "claim": "franklpin",
                 "c": c,
                 "bound": bound,
-                "R": [q + 1 for q in range(n) if (R >> q) & 1],
+                "R": list(StateSet(R)),
             }
     return True, None
 

@@ -37,11 +37,11 @@ from .extremal import assert_equivalence, build_extremal_dfa, pincor_check
 from .harness import _DEFAULT_BUDGET, CHECKS, EnumerationScope, run_check
 from .power import (
     _bfs,
-    _steppers,
     greedy_word,
     rank,
     shortest_compressing_word,
     size_profile,
+    subset_image_tables,
 )
 from .structure import certify, classify_pinlem, extract_certificate, validate_certificate
 
@@ -94,7 +94,7 @@ def cmd_compress(args):
         raise SynchroError("exactly one of --target-size or --corank is required")
     target = args.target_size if args.target_size is not None else dfa.n - args.corank
     letters = None
-    if args.letters:
+    if args.letters is not None:
         tokens = args.letters.split(",") if "," in args.letters else list(args.letters)
         letters = [dfa.letter_index(name) for name in tokens]
     res = shortest_compressing_word(
@@ -123,10 +123,9 @@ def cmd_compress(args):
 
 def _dot_graph(dfa, word_path):
     full = (1 << dfa.n) - 1
-    images = _steppers(dfa, range(dfa.k))
+    images = subset_image_tables(dfa)
     order, _hit = _bfs(images, full)  # keys in discovery order
-    def label(mask):
-        return "{" + ",".join(str(q + 1) for q in range(dfa.n) if (mask >> q) & 1) + "}"
+    label = lambda mask: repr(StateSet(mask))
     path_edges = set()
     node = full
     for s in word_path:

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailed,
     TheoremViolation,
 )
-from .power import _bfs, _first_le, _steppers, _word_to, rank
+from .power import _bfs, _first_le, _word_to, rank, subset_image_tables
 from .structure import _View, _hypothesis_holds, certify, validate_certificate
 
 __all__ = [
@@ -258,7 +258,7 @@ def pin_extension(dfa, w, c):
     func = tuple(range(n))
     for s in w:
         func = tuple(map(dfa.letters[s].__getitem__, func))
-    images = _steppers(dfa, range(dfa.k))
+    images = subset_image_tables(dfa)
     parent, hit = _bridge_search(images, func, A.mask, c)
     if hit is not None:
         return _word_to(images, range(dfa.k), parent, hit)
@@ -305,7 +305,7 @@ def franklpin_word(dfa, R, c):
     if len(R) > n - c + 1:
         raise PreconditionFailed(f"|R| = {len(R)} exceeds n-c+1 = {n - c + 1}")
     _check_subset(dfa, R)
-    return _franklpin_stage(_steppers(dfa, range(dfa.k)), n, R.mask, c, lambda: dfa)[0]
+    return _franklpin_stage(subset_image_tables(dfa), n, R.mask, c, lambda: dfa)[0]
 
 
 def _franklpin_stage(images, n, R, c, dfa):
@@ -344,7 +344,7 @@ def sync_pipeline(dfa):
         raise PreconditionFailed("the pipeline bound requires n >= 4")
     if rank(dfa) != 1:
         raise PreconditionFailed("automaton is not synchronizable")
-    images = _steppers(dfa, range(dfa.k))
+    images = subset_image_tables(dfa)
     parent, _hit = _bfs(images, (1 << n) - 1, lambda T: T.bit_count() <= n - 3)
     cert = certify(dfa) if _hypothesis_holds(parent, n) else None
     return _pipeline(images, n, parent, cert, lambda: dfa)

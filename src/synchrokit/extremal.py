@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automaton import Dfa, _ImageMap, apply_letter, apply_word, default_names
+from .automaton import Dfa, _ImageMap, apply_letter, apply_word
 from .errors import HypothesisFailed, PreconditionFailed
 from .power import _bfs, _depth, _word_to, rank, subset_image_tables
-from .structure import _adb1_shape, certify
+from .structure import _adb1_shape, _initial_renumbering, certify
 
 __all__ = [
     "GreedyConditionReport",
@@ -139,16 +139,17 @@ def check_condition_1(dfa):
     (holds, violating word or None).
     """
     tables, (_, cond1, _, words) = _decide(dfa)
-    return (True, None) if cond1 else (False, _condition_1_witness(tables, words))
+    return (True, None) if cond1 else (False, _witness(tables, words, words[2]))
 
 
-def _condition_1_witness(tables, words):
-    """The qualifying word breaking condition (1), given the decision's
-    ``words`` (see ``_greedy_flags``) when it fails: the fat-prefix word,
-    or where none was searched, the least shortest qualifying word, which
-    has at most 3 letters."""
-    parent, hit, fat, _ = words
-    return _word_to(tables, range(len(tables)), parent, hit) if fat is None else fat
+def _witness(tables, words, late):
+    """The qualifying word breaking condition (1) or (4), given the decision's
+    ``words`` (see ``_greedy_flags``) when it fails: ``late``, the word of the
+    condition's late search (fat-prefix or deviating), or where none was
+    searched, the least shortest qualifying word, of at most 3 letters for
+    (1) and 8 for (4)."""
+    parent, hit = words[:2]
+    return _word_to(tables, range(len(tables)), parent, hit) if late is None else late
 
 
 def _fat_prefix_word(n, tables, prefixes):
@@ -197,15 +198,7 @@ def _deviating_word(n, tables):
 def check_condition_4(dfa):
     """Every qualifying word has length 9 and the fixed 4+4+1 size profile."""
     tables, (_, _, cond4, words) = _decide(dfa)
-    return (True, None) if cond4 else (False, _condition_4_witness(tables, words))
-
-
-def _condition_4_witness(tables, words):
-    """The qualifying word breaking condition (4), given the decision's
-    ``words`` when it fails: the deviating word, or where none was searched,
-    the least shortest qualifying word, which has at most 8 letters."""
-    parent, hit, _, deviating = words
-    return _word_to(tables, range(len(tables)), parent, hit) if deviating is None else deviating
+    return (True, None) if cond4 else (False, _witness(tables, words, words[3]))
 
 
 def _certificate(dfa):
@@ -290,15 +283,7 @@ def _condition_3(dfa, cert):
         numbering = tuple(orbit[(i + rot) % 4] for i in range(4))
         classes = [classify_greedy_letter(dfa, s, numbering) for s in range(dfa.k)]
         if all(c in ("EQ_I", "EQ_A", "EQ_B") for c in classes):
-            renumbering = [0] * dfa.n
-            for label, state in enumerate(numbering, start=1):
-                renumbering[state - 1] = label
-            label = 5
-            for q in range(1, dfa.n + 1):
-                if q not in numbering:
-                    renumbering[q - 1] = label
-                    label += 1
-            return tuple(renumbering)
+            return _initial_renumbering(dfa.n, *numbering)
     return None
 
 
@@ -315,10 +300,10 @@ def assert_equivalence(dfa):
         cond2=res2.holds,
         cond3=renum3 is not None,
         cond4=cond4,
-        witness1=None if cond1 else _condition_1_witness(tables, words),
+        witness1=None if cond1 else _witness(tables, words, words[2]),
         witness2=res2.witness,
         renumbering3=renum3,
-        witness4=None if cond4 else _condition_4_witness(tables, words),
+        witness4=None if cond4 else _witness(tables, words, words[3]),
     )
 
 
@@ -350,9 +335,7 @@ def build_extremal_dfa(n, include_identity=True, tail_permutation=None):
     names.append("a")
     tables.append(merge)
     names.append("b")
-    if include_identity:
-        return Dfa.from_tables(tables, tuple(names))
-    return Dfa.from_tables(tables, default_names(2))
+    return Dfa.from_tables(tables, tuple(names))
 
 
 def pincor_check(dfa, cert):

@@ -3,7 +3,7 @@
 This module is the oracle everything else is checked against: exact
 shortest compressing words, size profiles, and the stage-wise greedy
 compressor.  It owns the power-automaton primitives the rest of the
-package builds on: the subset-image tables, the per-letter steppers, and
+package builds on: the cached subset-image maps, one per letter, and
 ``_bfs``, the one forward search, with lexicographically least parent
 links.  Every forward search in the package runs on it, over the forward
 closure of its start only, never the full subset lattice.
@@ -114,13 +114,6 @@ def subset_image_tables(dfa):
     return [byte_map(table) for table in dfa.letters]
 
 
-def _steppers(dfa, letter_indices):
-    """The cached subset-image maps of the given letters, in order.  Every
-    search that may expand many sets gets its maps here."""
-    maps = subset_image_tables(dfa)
-    return [maps[j] for j in letter_indices]
-
-
 def _normalize_letters(dfa, allowed_letters):
     if allowed_letters is None:
         return tuple(range(dfa.k))
@@ -144,8 +137,8 @@ def _bfs(images, start, stop=None, max_depth=None):
 
     ``images`` are the per-letter maps, indexed by node, explored in order
     from a FIFO frontier: a node is a set with the subset-image maps (see
-    ``_steppers``), or a pair led by a set or by the pin check's state
-    function, which names the nodes in the budget error.  Returns
+    ``subset_image_tables``), or a pair led by a set or by the pin check's
+    state function, which names the nodes in the budget error.  Returns
     (parent, hit): ``parent`` maps every discovered node to the node it was
     first reached from (None for the start), in discovery order, and
     ``hit`` is the first discovered node satisfying ``stop`` -- the start
@@ -239,10 +232,10 @@ def shortest_compressing_word(dfa, start, target_size, allowed_letters=None, max
         raise ValueError(f"target size {target_size} out of range 1..{len(start)}")
     if max_len is not None and max_len < 0:
         raise ValueError("max_len must be non-negative")
-    if start.mask >> dfa.n:
-        raise ValueError("start set contains states beyond the automaton")
+    _check_subset(dfa, start)
     letters = _normalize_letters(dfa, allowed_letters)
-    images = _steppers(dfa, letters)
+    maps = subset_image_tables(dfa)
+    images = [maps[j] for j in letters]
     parent, hit = _bfs(images, start.mask, lambda T: T.bit_count() <= target_size, max_len)
     if hit is None:
         return None
@@ -298,7 +291,7 @@ def size_profile(dfa, w, start=None):
     if start is None:
         start = dfa.full_set()
     _check_subset(dfa, start)
-    images = _steppers(dfa, range(dfa.k))
+    images = subset_image_tables(dfa)
     mask = start.mask
     sizes = [mask.bit_count()]
     for s in w:
@@ -317,7 +310,7 @@ def greedy_word(dfa, target_corank):
     """
     if target_corank < 1:
         raise ValueError("target corank must be at least 1")
-    images = _steppers(dfa, range(dfa.k))
+    images = subset_image_tables(dfa)
     current = (1 << dfa.n) - 1
     stage_words = []
     total = []

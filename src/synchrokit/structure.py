@@ -179,16 +179,14 @@ class _View:
         return tuple(seen)
 
 
-def _initial_renumbering(n, missing, partner):
-    """missing -> 1, partner -> 2, remaining states ascending (all 1-based)."""
+def _initial_renumbering(n, *first):
+    """first[i] -> i + 1, remaining states ascending after them (all 1-based)."""
     renumbering = [0] * n
-    renumbering[missing - 1] = 1
-    renumbering[partner - 1] = 2
-    label = 3
-    for q in range(1, n + 1):
-        if q not in (missing, partner):
-            renumbering[q - 1] = label
+    label = 0
+    for q in first + tuple(range(1, n + 1)):
+        if not renumbering[q - 1]:
             label += 1
+            renumbering[q - 1] = label
     return tuple(renumbering)
 
 

@@ -84,6 +84,13 @@ class TestBasicVerbs:
         )
         assert code == 1  # identity alone cannot compress
 
+    def test_compress_empty_letters_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compress", fixture_path("c4.dfa"), "--target-size", "1", "--letters", "",
+        )
+        assert code == 1 and out == ""
+        assert err.strip() == "error: allowed_letters must be non-empty when given"
+
     def test_profile(self, capsys):
         code, out, _ = run_cli(
             capsys, "profile", fixture_path("e5.dfa"), "baaabaaab", "--json"
@@ -417,6 +424,18 @@ class TestErrors:
         code, _, err = run_cli(capsys, "rank", str(bad))
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [('{"n": 4, "letters": []}', "at least one letter is required"),
+         ('{"n": -3, "letters": []}', "state count -3 out of range 1..64")],
+    )
+    def test_json_without_letters_exits_1(self, capsys, tmp_path, blob, message):
+        path = tmp_path / "no_letters.json"
+        path.write_text(blob)
+        code, out, err = run_cli(capsys, "rank", str(path))
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: {message}"
 
     @pytest.mark.parametrize(
         "states, message",

@@ -158,8 +158,14 @@ class TestCorank3Word:
     )
     def test_frozen_routes(self, text, word, tag):
         # The routes no fixture reaches, found in seeded draws of the AD/B1
-        # family; no draw reached case II "pair {1,2}" or case IV "early
-        # size n-3".
+        # family: case II "pair {1,r}" after mid a and after mid da, case III
+        # "pair {3,r}", and case IV each of its three core pairs, after a
+        # look-ahead of one or two letters.  The certificate rules out the
+        # two other routes.  Case II never lands on "pair {1,2}": Q.badb
+        # misses 1, d fixes 1 and a takes 1 to 2, so the transported set
+        # misses 2.  Case IV never reaches size n-3 early: by clause (iii) a
+        # set shrinks only when it holds {1,2}, and Q.badb misses 1, so the
+        # look-ahead meets the core twice before any set shrinks.
         dfa = load_dfa(text)
         got, got_tag = _construct(text)
         assert (format_word(dfa, got), got_tag.to_json(dfa)) == (word, tag)

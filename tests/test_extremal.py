@@ -212,8 +212,17 @@ class TestConditionChecks:
 
     def test_condition3_soundness(self, e5):
         # Re-classifying under the returned renumbering must use only the
-        # three permitted letter shapes.
-        for dfa in (e5, build_extremal_dfa(6), build_extremal_dfa(4, False)):
+        # three permitted letter shapes.  The renumbering is a permutation
+        # that labels the states outside the 4-cycle 5..n in ascending order.
+        dfas = [e5, build_extremal_dfa(6), build_extremal_dfa(4, False)]
+        rng = random.Random(3)
+        for n in range(6, 10):
+            for identity in (True, False):
+                dfa = build_extremal_dfa(n, identity)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                dfas.append(Dfa(n, _relabelled(dfa.letters, perm), dfa.names))
+        for dfa in dfas:
             renum = check_condition_3(dfa)
             assert renum is not None
             numbering = tuple(renum.index(label) + 1 for label in (1, 2, 3, 4))
@@ -221,6 +230,8 @@ class TestConditionChecks:
                 classify_greedy_letter(dfa, s, numbering) for s in range(dfa.k)
             ]
             assert all(c in ("EQ_I", "EQ_A", "EQ_B") for c in classes)
+            assert sorted(renum) == list(range(1, dfa.n + 1))
+            assert [label for label in renum if label > 4] == list(range(5, dfa.n + 1))
 
     def test_equivalence_decides_the_flags_once(self, monkeypatch):
         decided = []
@@ -321,8 +332,7 @@ class TestConditionsOnMaps:
             # fat 4-letter prefix (the frozen witnesses above).
             dfas += [_embedded("5 2\n2 4 5 1 5\n2 4 5 3 1\n", n),
                      _embedded("4 2\n1 1 1 4\n4 1 1 2\n", n)]
-        called = {f.__name__: _count_calls(monkeypatch, f) for f in (
-            extremal._condition_1_witness, extremal._condition_4_witness)}
+        witnesses = _count_calls(monkeypatch, extremal._witness)
         deviating = extremal._deviating_word
         deviations = []
 
@@ -334,9 +344,13 @@ class TestConditionsOnMaps:
         outcomes = _greedy_outcomes(dfas)
         # Every automaton whose qualifying words all have 9 letters runs the
         # deviating-word search; only the embedded late failure of (4) has a
-        # deviating word, abbaaabba, and it has it at every n.
-        assert all(called.values()) and {(n, word) for n, word in deviations if word} == {
+        # deviating word, abbaaabba, and it has it at every n.  Each failing
+        # condition spells its witness twice: in the report and in its check.
+        assert {(n, word) for n, word in deviations if word} == {
             (n, (0, 1, 1, 0, 0, 0, 1, 1, 0)) for n in range(9, 14)}
+        failing = [(not out[0]["cond1"], not out[0]["cond4"]) for out in outcomes]
+        assert any(c1 for c1, _ in failing) and any(c4 for _, c4 in failing)
+        assert len(witnesses) == 2 * sum(c1 + c4 for c1, c4 in failing)
         assert [type(images[0]) for images in map(power.subset_image_tables, dfas)] == [
             power._TwoByteImageMap] * len(dfas)
         assert sum(not out[0]["cond1"] for out in outcomes) >= 20

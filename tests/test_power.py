@@ -34,7 +34,7 @@ def _every_dfa(n, k):
 
 
 def _search_rank(dfa):
-    return power._rank_search(power._steppers(dfa, range(dfa.k)), dfa.n)[1]
+    return power._rank_search(power.subset_image_tables(dfa), dfa.n)[1]
 
 
 def _brute_rank(dfa):
@@ -188,8 +188,9 @@ def _relabelled_cerny(n, seed):
     return Dfa(n, _relabelled(_cerny(n).letters, perm), ("a", "b"))
 
 
-def _bit_walk_steppers(dfa, letter_indices):
-    return [_ImageMap(dfa.letters[j]) for j in letter_indices]
+def _bit_walk_tables(dfa):
+    """``subset_image_tables`` as bit walks at every n."""
+    return [_ImageMap(table) for table in dfa.letters]
 
 
 def _full_tables(dfa):
@@ -210,7 +211,7 @@ class TestByteImageMap:
                 image = kind(table)
                 assert [image[m] for m in masks] == [walk[m] for m in masks]
 
-    def test_steppers_above_the_table_limit(self):
+    def test_cached_maps_above_the_table_limit(self):
         # One cached map per letter at every n: the full table up to 8 states
         # (the single block of a byte-sliced map), byte-sliced above.
         for n in range(1, 18):
@@ -222,8 +223,7 @@ class TestByteImageMap:
             else:
                 kind = power._TwoByteImageMap if n <= 16 else power._ByteImageMap
                 assert [type(image) for image in maps] == [kind, kind]
-            picked = power._steppers(dfa, (1, 0))
-            assert len(picked) == 2 and picked[0] is maps[1] and picked[1] is maps[0]
+            assert power.subset_image_tables(dfa) is maps
 
     def test_no_public_request_builds_a_big_table(self, monkeypatch):
         power.subset_image_tables.cache_clear()
@@ -246,7 +246,7 @@ class TestByteImageMap:
         dfas += [d for n in (14, 15, 16) for d in random_dfas(900 + n, 4, n, 2)]
         dfas += random_dfas(917, 2, 17, 3)
         for dfa in dfas:
-            images = _bit_walk_steppers(dfa, range(dfa.k))
+            images = _bit_walk_tables(dfa)
             full = (1 << dfa.n) - 1
             for target in range(dfa.n - 1, rank(dfa) - 1, -1):
                 parent, hit = power._bfs(images, full, lambda T: T.bit_count() <= target)
@@ -259,7 +259,7 @@ class TestByteImageMap:
         dfas += [d for n in (14, 15) for d in random_dfas(950 + n, 3, n, 2) if rank(d) == 1]
         assert len(dfas) > 4
         words = [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
-        _rebind(monkeypatch, power._steppers, _bit_walk_steppers)
+        _rebind(monkeypatch, power.subset_image_tables, _bit_walk_tables)
         assert words == [(greedy_word(d, d.n - 1), sync_pipeline(d)) for d in dfas]
 
     def test_greedy_and_pipeline_words_match_the_full_tables(self, monkeypatch):
