@@ -215,7 +215,6 @@ def parse_dfa(text):
     default letter names.  Lines starting with ``#`` and blank lines are
     ignored.  Raises ParseError with the offending line number.
     """
-    header = None
     names = None
     tables = []
     n = k = None
@@ -223,7 +222,7 @@ def parse_dfa(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
+        if n is None:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected header 'n k'", lineno)
@@ -237,7 +236,6 @@ def parse_dfa(text):
                 raise ParseError(f"state count {n} exceeds the capacity cap {MAX_STATES}", lineno)
             if k < 1:
                 raise ParseError("letter count must be at least 1", lineno)
-            header = (n, k)
             continue
         if line.startswith("names:"):
             if names is not None:
@@ -265,7 +263,7 @@ def parse_dfa(text):
                 raise ParseError(f"entry {value} out of range 1..{n}", lineno)
             row.append(value)
         tables.append(tuple(row))
-    if header is None:
+    if n is None:
         raise ParseError("empty input: missing header")
     if len(tables) != k:
         raise ParseError(f"expected {k} transition tables, got {len(tables)}")
@@ -296,6 +294,7 @@ def dfa_to_json(dfa):
 
 
 def dfa_from_json(obj):
+    """Parse the JSON mirror, dict or text; a ``k``, if given, counts ``letters``."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -313,6 +312,9 @@ def dfa_from_json(obj):
         raise ParseError(f"state count {n} exceeds the capacity cap {MAX_STATES}")
     if not isinstance(letters, list) or not all(isinstance(t, list) for t in letters):
         raise ParseError("letters must be a list of transition-table lists")
+    k = obj.get("k", len(letters))
+    if type(k) is not int or k != len(letters):
+        raise ParseError(f"k = {k!r} but letters has length {len(letters)}")
     if names is not None and (
         not isinstance(names, list) or not all(isinstance(x, str) for x in names)
     ):

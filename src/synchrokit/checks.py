@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .automaton import Dfa, StateSet, default_names, serialize_dfa
+from .automaton import Dfa, StateSet, default_names
 from .construct import _bridge_search, _corank3_cases, _pipeline
 from .extremal import _condition_2, _condition_3, _greedy_flags, pincor_check
 from .power import _bfs, _depth, _first_le, _rank_search, _word_to, subset_images_for_table
@@ -142,9 +142,6 @@ class Auto:
         if self._cert is None:
             self._cert = certify(self.dfa())
         return self._cert
-
-    def serialized(self):
-        return serialize_dfa(self.dfa())
 
 
 # ---------------------------------------------------------------------------

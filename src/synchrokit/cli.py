@@ -9,6 +9,7 @@ machine-readable output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -167,11 +168,6 @@ def cmd_greedy(args):
     if profile is None:
         _emit(args, ["greedy compression stalls"], {"stages": None})
         return 1
-    boundaries = []
-    pos = 0
-    for length in profile.stage_lengths:
-        pos += length
-        boundaries.append(pos)
     sizes = list(size_profile(dfa, profile.total))
     _emit(
         args,
@@ -184,7 +180,7 @@ def cmd_greedy(args):
             "word": format_word(dfa, profile.total),
             "length": len(profile.total),
             "stage_lengths": list(profile.stage_lengths),
-            "stage_boundaries": boundaries,
+            "stage_boundaries": list(itertools.accumulate(profile.stage_lengths)),
             "profile": sizes,
         },
     )
@@ -214,15 +210,12 @@ def cmd_structure(args):
               {"hypothesis": False, "certificate": None})
         return 1
     report = validate_certificate(dfa, cert)
+    clauses = {"i": report.clause_i, "ii": report.clause_ii,
+               "iii": report.clause_iii, "iv": report.clause_iv}
     payload = {
         "hypothesis": True,
         "certificate": cert.to_json(dfa),
-        "clauses": {
-            "i": report.clause_i,
-            "ii": report.clause_ii,
-            "iii": report.clause_iii,
-            "iv": report.clause_iv,
-        },
+        "clauses": clauses,
         "failures": list(report.failures),
     }
     lines = [
@@ -232,10 +225,7 @@ def cmd_structure(args):
         f"renumbering = {list(cert.renumbering)}",
         f"X = {list(cert.X)} ({cert.case_tag}, a_replaced = {cert.a_replaced})",
         "clauses: " + ", ".join(
-            f"({num}) {'pass' if ok else 'FAIL'}"
-            for num, ok in zip(("i", "ii", "iii", "iv"),
-                               (report.clause_i, report.clause_ii,
-                                report.clause_iii, report.clause_iv))
+            f"({num}) {'pass' if ok else 'FAIL'}" for num, ok in clauses.items()
         ),
     ]
     lines.extend(report.failures)

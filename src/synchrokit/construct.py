@@ -52,14 +52,14 @@ class CaseTag:
     s3_in_core: bool | None = None
     route: str = ""
 
-    def to_json(self, dfa=None):
+    def to_json(self, dfa):
         out = {"case": self.case, "route": self.route}
         if self.qb_is_3 is not None:
             out["qb_is_3"] = self.qb_is_3
         if self.b3_is_4 is not None:
             out["b3_is_4"] = self.b3_is_4
         if self.s_letter is not None:
-            out["s"] = dfa.names[self.s_letter] if dfa is not None else self.s_letter
+            out["s"] = dfa.names[self.s_letter]
         if self.s3_in_core is not None:
             out["s3_in_core"] = self.s3_in_core
         return out
@@ -200,7 +200,7 @@ def _corank3_cases(dfa, cert):
     outside = view.full & ~core
     s_letter = None
     for s in range(dfa.k):
-        if view.image(outside, s) != outside:
+        if view.images[s][outside] != outside:
             s_letter = s
             break
     if s_letter is None:

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from operator import mul
 
-from .automaton import MAX_STATES, Dfa, default_names
+from .automaton import MAX_STATES, Dfa, default_names, serialize_dfa
 from .checks import CHECKS, THEOREM_IDS, Auto
 from .power import subset_images_for_table
 from .errors import (BudgetExceeded, CertificateContradiction, ConstructionContradiction,
@@ -295,7 +295,7 @@ def _run_block(args):
                 counts[tid][1] += weight
             if detail is not None:
                 if weight == 1:
-                    violations[tid].append({"dfa": auto.serialized(), "detail": detail})
+                    violations[tid].append({"dfa": serialize_dfa(auto.dfa()), "detail": detail})
                 else:
                     violations[tid].extend(_member_violations(scope, tid, tables))
             now = time.perf_counter()

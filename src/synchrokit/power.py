@@ -305,11 +305,12 @@ def greedy_word(dfa, target_corank):
     """Stage-wise greedy compression of the full state set.
 
     Repeatedly appends a shortest word that strictly shrinks the current
-    image, until the corank reaches ``target_corank``.  Returns None when a
-    stage finds no shrinking word (greedy stalls).
+    image, until the corank reaches ``target_corank``, which must lie in
+    1..n-1.  Returns None when a stage finds no shrinking word (greedy
+    stalls).
     """
-    if target_corank < 1:
-        raise ValueError("target corank must be at least 1")
+    if not 1 <= target_corank <= dfa.n - 1:
+        raise ValueError(f"target corank {target_corank} out of range 1..{dfa.n - 1}")
     images = subset_image_tables(dfa)
     current = (1 << dfa.n) - 1
     stage_words = []

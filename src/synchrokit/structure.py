@@ -9,7 +9,8 @@ hypothesis (by one search and one predicate on its parent links),
 extracts the certificate deterministically, validates its clauses, and
 classifies letters into the two shapes every letter of a certified
 automaton must take.  ``certify`` does both steps and is the package's
-one source of certificates.
+one source of certificates.  Roles and clauses are read on ``_View``,
+which renumbers the transition tables into the certificate numbering.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "classify_pinlem",
     "find_adb1_structure",
     "pinlem_converse_check",
-    "renumbered_tables",
 ]
 
 
@@ -57,14 +57,12 @@ class StructureCertificate:
     case_tag: str
     a_replaced: bool
 
-    def to_json(self, dfa=None):
-        names = dfa.names if dfa is not None else None
-        letter = (lambda j: names[j]) if names else (lambda j: j)
+    def to_json(self, dfa):
         return {
             "renumbering": list(self.renumbering),
-            "b": letter(self.b_letter),
-            "a": letter(self.a_letter),
-            "d": letter(self.d_letter),
+            "b": dfa.names[self.b_letter],
+            "a": dfa.names[self.a_letter],
+            "d": dfa.names[self.d_letter],
             "q": self.q,
             "X": list(self.X),
             "case_tag": self.case_tag,
@@ -129,36 +127,28 @@ def satisfies_corank2_hypothesis(dfa):
     return _hypothesis_holds(_hypothesis_search(dfa)[1], dfa.n)
 
 
-def renumbered_tables(dfa, renumbering):
-    """Transition tables rewritten in the certificate numbering (0-based)."""
-    n = dfa.n
-    new_of_old = [renumbering[q] - 1 for q in range(n)]
-    tables = []
-    for table in dfa.letters:
-        out = [0] * n
-        for q in range(n):
-            out[new_of_old[q]] = new_of_old[table[q]]
-        tables.append(tuple(out))
-    return tuple(tables)
-
-
 class _View:
-    """Scratch view of an automaton in certificate numbering (1-based states)."""
+    """Scratch view of an automaton in certificate numbering (1-based states):
+    it owns the transition tables renumbered (0-based) and their subset
+    images, ``images[s][mask]``."""
 
     def __init__(self, dfa, renumbering):
-        self.tables = renumbered_tables(dfa, renumbering)
+        new_of_old = [label - 1 for label in renumbering]
+        self.tables = []
+        for table in dfa.letters:
+            out = [0] * dfa.n
+            for q, image in enumerate(table):
+                out[new_of_old[q]] = new_of_old[image]
+            self.tables.append(out)
         self.images = [_ImageMap(table) for table in self.tables]
         self.full = (1 << dfa.n) - 1
 
     def act(self, state, letter):
         return self.tables[letter][state - 1] + 1
 
-    def image(self, mask, letter):
-        return self.images[letter][mask]
-
     def word_image(self, mask, word):
         for letter in word:
-            mask = self.image(mask, letter)
+            mask = self.images[letter][mask]
         return mask
 
     def set_of(self, *states):
@@ -188,10 +178,6 @@ def _initial_renumbering(n, *first):
             label += 1
             renumbering[q - 1] = label
     return tuple(renumbering)
-
-
-def _swap_labels(renumbering, x, y):
-    return tuple(y if label == x else x if label == y else label for label in renumbering)
 
 
 def _merged_pair(table):
@@ -269,7 +255,7 @@ def extract_certificate(dfa):
                 raise contradiction("clause (iv): no unique outside state mapping to 2 under d")
             r = hits_two[0]
             if r != 3:
-                renumbering = _swap_labels(renumbering, 3, r)
+                renumbering = tuple({3: r, r: 3}.get(label, label) for label in renumbering)
                 view = _View(dfa, renumbering)
     X = view.orbit(1, a)
 
@@ -326,14 +312,14 @@ def validate_certificate(dfa, cert):
     b, a, d = cert.b_letter, cert.a_letter, cert.d_letter
     failures = []
 
-    if view.image(view.full, b) != view.without(1):
+    if view.images[b][view.full] != view.without(1):
         failures.append("clause (i): Q.b != Q \\ {1}")
     if view.act(1, b) != view.act(2, b):
         failures.append("clause (i): 1b != 2b")
 
     if view.word_image(view.full, (b, a)) != view.without(2):
         failures.append("clause (ii): Q.ba != Q \\ {2}")
-    if view.image(view.full, a) != view.full:
+    if view.images[a][view.full] != view.full:
         failures.append("clause (ii): Q.a != Q")
     if view.act(1, a) != 2:
         failures.append("clause (ii): 1a != 2")
@@ -369,7 +355,7 @@ def validate_certificate(dfa, cert):
     else:
         if len(cert.X) != 2:
             failures.append("clause (iv): case X_EQ_2 but |X| != 2")
-        if view.image(view.full, d) != view.full:
+        if view.images[d][view.full] != view.full:
             failures.append("clause (iv): Q.d != Q")
         if view.act(1, d) != 1:
             failures.append("clause (iv): 1d != 1")

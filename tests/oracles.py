@@ -12,7 +12,8 @@ import json
 import random
 
 from synchrokit import (CertificateContradiction, ConstructionContradiction, Dfa,
-                        TheoremViolation, VerificationReport, apply_word, enumerate_dfas)
+                        TheoremViolation, VerificationReport, apply_word, enumerate_dfas,
+                        serialize_dfa)
 from synchrokit.checks import CHECKS, Auto
 
 
@@ -171,7 +172,8 @@ def literal_reports(ids, scope):
             report.checked_count += 1
             report.applicable_count += applicable
             if detail is not None:
-                report.counterexamples.append({"dfa": auto.serialized(), "detail": detail})
+                report.counterexamples.append({"dfa": serialize_dfa(auto.dfa()),
+                                               "detail": detail})
     for report in reports.values():
         report.counterexamples.sort(
             key=lambda ce: (ce["dfa"], json.dumps(ce["detail"], sort_keys=True)))

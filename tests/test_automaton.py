@@ -138,10 +138,22 @@ class TestParse:
             parse_dfa("2 1\n1 2 1\n")  # too many entries
         with pytest.raises(ParseError):
             parse_dfa("2 1\n1 2\n1 2\n")  # extra line
+        with pytest.raises(ParseError, match="entry 'x' is not an integer"):
+            parse_dfa("2 1\n1 x\n")
 
     def test_duplicate_names(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_dfa("2 2\nnames: a a\n1 2\n2 1\n")
+
+    @pytest.mark.parametrize("letters, names, message", [
+        (((0,),), ("a",), "table has 1 entries, expected 2"),
+        (((0, 2),), ("a",), "image of state 2 out of range"),
+        (((0, 1), (1, 0)), ("a",), "one name per letter"),
+        (((0, 1), (1, 0)), ("a", "a"), "pairwise distinct"),
+    ])
+    def test_dfa_field_errors(self, letters, names, message):
+        with pytest.raises(ValueError, match=message):
+            Dfa(2, letters, names)
 
     @given(AUTOMATON_TEXTS)
     @settings(max_examples=300, deadline=None)
@@ -155,6 +167,7 @@ class TestParse:
         dfa = parse_dfa(C4_TEXT)
         blob = json.dumps(dfa_to_json(dfa))
         assert dfa_from_json(blob) == dfa
+        assert dfa_from_json({"n": 4, "letters": dfa_to_json(dfa)["letters"]}) == dfa
         assert load_dfa(blob) == dfa
         assert load_dfa(C4_TEXT) == dfa
 
@@ -171,6 +184,9 @@ class TestParse:
             {"n": 2, "letters": [[1, 2]], "names": "a"},
             {"n": 2, "letters": [[1, 2]], "names": [7]},
             {"letters": [[1]]},
+            {"n": 65, "letters": [[1] * 65]},
+            {"n": 2, "letters": [[1, 2], [1]]},
+            {"n": 2, "k": "1", "letters": [[1, 2]]},
             pytest.param('{"n": ' + "[" * 100_000, id="deep-nesting"),
             pytest.param("2 2\nnames: #a b\n1 2\n2 1\n", id="bad-letter-name"),
         ],
@@ -231,6 +247,9 @@ class TestWords:
         dfa = parse_dfa("2 2\nnames: go stop\n2 1\n1 1\n")
         assert parse_word(dfa, "go stop go") == (0, 1, 0)
         assert format_word(dfa, (0, 1)) == "go stop"
+        assert parse_word(dfa, "  \n") == ()
+        with pytest.raises(ValueError, match="cannot parse word 'go halt'"):
+            parse_word(dfa, "go halt")
 
 
 class TestInvariants:

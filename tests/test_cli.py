@@ -4,8 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from synchrokit import (EnumerationScope, apply_word, load_dfa, power, run_check,
-                        serialize_dfa, structure)
+from synchrokit import (EnumerationScope, TheoremViolation, apply_word, load_dfa, power,
+                        run_check, serialize_dfa, structure)
 from synchrokit.checks import CHECKS
 from synchrokit.cli import build_parser, main
 
@@ -428,7 +428,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "blob, message",
         [('{"n": 4, "letters": []}', "at least one letter is required"),
-         ('{"n": -3, "letters": []}', "state count -3 out of range 1..64")],
+         ('{"n": -3, "letters": []}', "state count -3 out of range 1..64"),
+         ('{"n": 2, "k": 7, "letters": [[1, 2]]}', "k = 7 but letters has length 1")],
     )
     def test_json_without_letters_exits_1(self, capsys, tmp_path, blob, message):
         path = tmp_path / "no_letters.json"
@@ -436,6 +437,16 @@ class TestErrors:
         code, out, err = run_cli(capsys, "rank", str(path))
         assert code == 1 and out == ""
         assert err.strip() == f"error: {message}"
+
+    def test_violation_detail_on_stderr(self, capsys, monkeypatch):
+        def violating(dfa):
+            raise TheoremViolation("pipeline bound: word too long", {"word": [0], "bound": 9})
+
+        monkeypatch.setattr("synchrokit.cli.sync_pipeline", violating)
+        code, out, err = run_cli(capsys, "pipeline", fixture_path("c4.dfa"))
+        assert code == 2 and out == ""
+        assert err == ('violation: pipeline bound: word too long\n'
+                       '{\n  "bound": 9,\n  "word": [\n    0\n  ]\n}\n')
 
     @pytest.mark.parametrize(
         "states, message",

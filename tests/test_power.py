@@ -86,6 +86,8 @@ class TestShortestCompressingWord:
             shortest_compressing_word(c4, c4.full_set(), 1, allowed_letters=[])
         with pytest.raises(ValueError):
             shortest_compressing_word(c4, c4.full_set(), 1, allowed_letters=[9])
+        with pytest.raises(ValueError, match="max_len must be non-negative"):
+            shortest_compressing_word(c4, c4.full_set(), 1, max_len=-1)
 
     def test_start_subset(self, c4):
         res = shortest_compressing_word(c4, StateSet.from_states([2, 4]), 1)
@@ -328,6 +330,6 @@ class TestGreedy:
         assert c5.n - sizes[-1] >= 4
 
     def test_validation(self, c4):
-        with pytest.raises(ValueError):
-            greedy_word(c4, 0)
-        assert greedy_word(c4, 4) is None  # cannot go below one state
+        for c in (0, c4.n):  # no corank below 1 or past a single state
+            with pytest.raises(ValueError, match=r"target corank \d out of range 1\.\.3"):
+                greedy_word(c4, c)

@@ -194,6 +194,10 @@ _TAMPERS = {
            ("clause (i): Q.b != Q \\ {1}", "clause (ii): Q.ba != Q \\ {2}")),
     "Q.badb": ("clause (iv): Q.badb != Q \\ {1, qb}", "c3", {"b": "3 2 3"}, {},
                ("clause (i): 1b != 2b", "clause (iii): letter 1 merges (1, 3), not {1,2}")),
+    "X_GE_3-d": ("clause (iv): case X_GE_3 but d != a", "CASE_II", {}, {"case_tag": "X_GE_3"},
+                 ("clause (iv): case X_GE_3 but |X| < 3",)),
+    "X_EQ_2-X": ("clause (iv): case X_EQ_2 but |X| != 2", "c4", {}, {"case_tag": "X_EQ_2"},
+                 ("clause (iv): 1d != 1", "clause (iv): 3d != 2")),
 }
 
 
@@ -234,6 +238,17 @@ class TestValidation:
         cert = dataclasses.replace(extract_certificate(c4), renumbering=(1, 1, 3, 4))
         for check in (validate_certificate, classify_pinlem):
             with pytest.raises(ValueError, match="not a permutation"):
+                check(c4, cert)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"d_letter": 2}, "letter index 2 out of range"),
+        ({"q": 5}, "state q=5 out of range"),
+        ({"case_tag": "X_EQ_3"}, "unknown case tag 'X_EQ_3'"),
+    ])
+    def test_out_of_range_certificate_rejected(self, c4, changes, message):
+        cert = dataclasses.replace(extract_certificate(c4), **changes)
+        for check in (validate_certificate, classify_pinlem):
+            with pytest.raises(ValueError, match=message):
                 check(c4, cert)
 
     def test_one_state_certificate_rejected(self):
